@@ -1,5 +1,6 @@
-"""Pure helpers of the benchmark: statistics, arrival schedules, goodput and
-backlog detection, and the layer-sum check. No I/O, so unit tests cover
+"""Pure helpers of the benchmark: statistics, quiet-operation selection,
+arrival schedules, the goodput search and backlog detection, and the
+layer-sum check. No I/O, so unit tests cover
 them directly (perfbench/test_bench_lib.py)."""
 
 import math
@@ -91,14 +92,31 @@ def median(values):
     return percentile(values, 50)[0]
 
 
-def jittered_schedule(rng, rate, duration, start=0.0, jitter=0.5):
-    """Due times with mean spacing 1/rate, each gap drawn uniformly in
-    [(1 - jitter), (1 + jitter)] / rate: open loop, but without the bursts
-    of a Poisson process that make short ladder steps noisy."""
+def quietest(values, steals, limit, min_share=0.5):
+    """The values measured while the host's CPU steal stayed at or under
+    `limit`, and never fewer than the quietest `min_share` of them.
+
+    Steal is time the hypervisor gave to other guests; an operation that
+    ran under heavy steal measures the neighbours, not the code. `values`
+    and `steals` are parallel lists; order is kept."""
+    if len(values) != len(steals):
+        raise ValueError("values and steals differ in length")
+    keep = max(1, math.ceil(min_share * len(values)))
+    by_steal = sorted(range(len(values)), key=lambda i: (steals[i], i))
+    chosen = {i for i in by_steal if steals[i] <= limit}
+    chosen.update(by_steal[:keep])
+    return [values[i] for i in sorted(chosen)]
+
+
+def jittered_schedule(rng, rate, count, jitter):
+    """`count` due times (seconds from the phase start) with mean spacing
+    1/rate, each gap drawn uniformly in [(1 - jitter), (1 + jitter)] / rate:
+    open loop, but without the bursts of a Poisson process that make short
+    load steps noisy."""
     times = []
     period = 1.0 / rate
-    t = start + rng.uniform(0.0, period)
-    while t < start + duration:
+    t = rng.uniform(0.0, period)
+    for _ in range(count):
         times.append(t)
         t += period * rng.uniform(1.0 - jitter, 1.0 + jitter)
     return times
@@ -146,7 +164,7 @@ def backlog_grows(samples, workers):
 
 
 def step_passes(latencies_ms, misses, limit_ms, backlog_grew):
-    """A ladder step passes when its p90 (misses count as infinitely late)
+    """A load step passes when its p90 (misses count as infinitely late)
     meets the latency limit and the backlog did not grow."""
     if backlog_grew or (not latencies_ms and not misses):
         return False
@@ -156,8 +174,9 @@ def step_passes(latencies_ms, misses, limit_ms, backlog_grew):
 
 
 def good_rate(sent_times, misses):
-    """Good requests per second a rung delivered: the offered rate measured
-    from the actual send times, scaled by the share that did not miss."""
+    """Good requests per second a load step delivered: the offered rate
+    measured from the actual send times, scaled by the share that did not
+    miss."""
     n = len(sent_times)
     if n < 2:
         return 0.0
@@ -165,17 +184,49 @@ def good_rate(sent_times, misses):
     return offered * (n - misses) / n
 
 
-def goodput(steps):
-    """Highest passing rung of an ascending ladder, stopping at the first
-    failure. `steps` are dicts with `rate`, `passed`, and `good_rps` (good
-    completions per second measured over the step). Returns the passing
-    step's measured good_rps, or None when no step passed."""
-    best = None
-    for step in steps:
-        if not step["passed"]:
-            break
-        best = step["good_rps"]
-    return best
+class RateSearch:
+    """Finds the highest offered rate that still passes.
+
+    Load steps are recorded in the order they ran. While none has failed,
+    the next rate is the highest passing rate times `climb`; after the
+    first failure it is the geometric midpoint of the highest passing and
+    the lowest failing rate, `bisections` times. The rate is then known
+    to within a factor of climb ** (1 / 2 ** bisections). The search also
+    ends when the climb would pass `top`."""
+
+    def __init__(self, climb, bisections, top):
+        self.climb = climb
+        self.bisections = bisections
+        self.top = top
+        self.best = None       # highest passing step
+        self.failed = None     # lowest failing rate
+        self.halvings = 0
+
+    def record(self, step):
+        """`step` is a dict with `rate`, `passed` and `good_rps` (good
+        completions per second measured over the step)."""
+        if self.failed is not None:
+            self.halvings += 1
+        if step["passed"]:
+            if self.best is None or step["rate"] > self.best["rate"]:
+                self.best = step
+        elif self.failed is None or step["rate"] < self.failed:
+            self.failed = step["rate"]
+
+    def next_rate(self):
+        """The next rate to offer, or None when the search is over."""
+        if self.best is None:
+            return None
+        if self.failed is None:
+            rate = self.best["rate"] * self.climb
+            return rate if rate <= self.top else None
+        if self.halvings >= self.bisections:
+            return None
+        return math.sqrt(self.best["rate"] * self.failed)
+
+    def goodput(self):
+        """good_rps of the highest passing step, None if none passed."""
+        return None if self.best is None else self.best["good_rps"]
 
 
 def layer_sum_check(self_seconds, layers, op_seconds, tolerance=0.15):

@@ -50,13 +50,27 @@ BASELINES = [{"allocator": "greedy-irie", "query": {"kappa": 1, "lambda": 0.0,
              {"allocator": "myopic+", "query": {"kappa": 1, "lambda": 0.0,
                                                 "budget_scale": 1.0}}]
 
-# serve_dblp load: two fixed rates and a fixed ladder above them.
+# serve_dblp load: two fixed rates, then a goodput search above them that
+# climbs by CLIMB per STEP_S step until one fails and then bisects three
+# times, so goodput is known to within 1.5 ** (1 / 8), about 5%.
 RATE_LO = 5.0
 RATE_HI = 8.0
-LADDER = [11.0, 14.0, 20.0]
+CLIMB = 1.5
+BISECTIONS = 3
+TOP_RATE = 64.0
+STEP_S = 3.0
 LATENCY_LIMIT_MS = 2000.0
+# Gaps between sends are uniform within +-JITTER of the mean: open loop and
+# seeded, without the bursts of a Poisson process that make a short phase's
+# tail depend more on the draw than on the server.
+JITTER = 0.2
 VERIFY_SAMPLE = 6          # served responses re-run in-process
 LATE_LIMIT_MS = 25.0       # generator p99 lateness above this: run invalid
+
+# Timings come from operations (cold_lj) or request cycles (router_k4) that
+# ran under at most this share of CPU steal, and never from fewer than the
+# quietest half of them.
+STEAL_LIMIT = 0.02
 
 
 def log(*parts):
@@ -101,7 +115,8 @@ def vm_hwm_mb(pid="self"):
 
 
 def cpu_times():
-    """(steal, total) jiffies of the machine, from /proc/stat."""
+    """(steal, total) jiffies of the machine, from /proc/stat. Steal is
+    CPU time the hypervisor gave to other guests."""
     try:
         with open("/proc/stat") as f:
             fields = [int(x) for x in f.readline().split()[1:9]]
@@ -457,18 +472,21 @@ def cold_lj(run, seconds, seed):
     res = run_tool(run.bins, ["cold", "--dataset=livejournal", "--scale=0.002",
                               f"--data_seed={DATA_SEED}",
                               f"--bundle={run.out / 'livejournal.tirm'}",
-                              f"--seconds={seconds}", f"--threads={NPROC}",
-                              "--setups=3"] + CONFIG)
+                              f"--seconds={seconds}", f"--threads={NPROC}"]
+                   + CONFIG)
     run.attempted += res["attempted"]
     run.fail(res["mismatched"], "repeated cold allocations differ")
     run.fail(res["failed"] - res["mismatched"], "cold allocation failed")
-    ops = res["op_ms"]
-    log("cold ops (ms):", " ".join(f"{x:.0f}" for x in ops))
+    log("cold ops (ms @ steal):", " ".join(
+        f"{x:.0f}@{100 * st:.1f}%" for x, st in zip(res["op_ms"],
+                                                     res["op_steal"])))
     log("exact counters:", json.dumps(res.get("counters"), sort_keys=True))
-    ok = len(ops) - res["failed"]
+    ops = lib.quietest(res["op_ms"], res["op_steal"], STEAL_LIMIT)
+    log(f"timing {len(ops)} of {len(res['op_ms'])} cold ops (steal <= "
+        f"{100 * STEAL_LIMIT:g}% or the quietest half)")
     # Every operation here is cold, so cold_op_ms is their median too.
     return e2e(setup_s=lib.median(res["setup_s"]), ops_ms=ops, lo_ms=ops,
-               goodput_rps=ok / (sum(ops) / 1e3),
+               goodput_rps=len(ops) / (sum(ops) / 1e3),
                cold_ms=lib.hd_quantile(ops, 50)[0],
                rss_mb=vm_hwm_mb() + res["peak_rss_bytes"] / 2**20,
                regret=sum(res["regret_pct"]) / len(res["regret_pct"]),
@@ -477,11 +495,11 @@ def cold_lj(run, seconds, seed):
 
 def warm_serve(run, bundle, name):
     """Set-up of serve_dblp: server start plus one cold request per worker.
-    Returns (proc, client, setup seconds, per-worker cold latencies)."""
+    Returns (proc, client, setup seconds, the warm-up records)."""
     t0 = time.monotonic()
     proc, port = run.start_server(bundle, NPROC, 1, name)
     client = Client(port, NPROC)
-    seen, cold = set(), []
+    seen = set()
     for _ in range(4):
         before = len(client.records)
         for _ in range(NPROC):
@@ -489,66 +507,71 @@ def warm_serve(run, bundle, name):
         if not client.wait_all(120):
             raise RuntimeError("warm-up timed out")
         for r in client.parsed()[before:]:
-            if r["resp"].get("ok"):
-                if r["resp"]["worker"] not in seen:
-                    cold.append((r["recv"] - r["due"]) * 1e3)
+            if r["resp"].get("ok") and r["resp"]["worker"] not in seen:
+                r["cold"] = True  # the worker's first request
                 seen.add(r["resp"]["worker"])
         if len(seen) == NPROC:
             break
     if len(seen) != NPROC:
         raise RuntimeError(f"warm-up reached workers {sorted(seen)} only")
     setup = time.monotonic() - t0
-    return proc, client, setup, cold
+    return proc, client, setup, client.parsed()
+
+
+def load_step(client, rng, stream, name, rate, count):
+    """One open-loop step: the next `count` requests of `stream` at
+    `rate`, then a wait until all are answered. Returns the step's summary
+    and the generator's lateness samples."""
+    sched = lib.jittered_schedule(rng, rate, count, JITTER)
+    reqs = [next(stream) for _ in sched]
+    steal0, total0 = cpu_times()
+    late, backlog, sent = run_phase(client, name, sched, reqs)
+    drained = client.wait_all(60)
+    steal1, total1 = cpu_times()
+    recs, ok, lat = phase_stats(client.parsed(), name)
+    misses = len(recs) - len(ok) + sum(1 for x in lat if x > LATENCY_LIMIT_MS)
+    grew = lib.backlog_grows(backlog, NPROC) or not drained
+    step = {"name": name, "rate": rate, "sent": len(sched),
+            "passed": lib.step_passes(lat, len(recs) - len(ok),
+                                      LATENCY_LIMIT_MS, grew),
+            "good_rps": lib.good_rate(sent, misses), "misses": misses,
+            "drained": drained,
+            "steal": (steal1 - steal0) / max(1, total1 - total0)}
+    log("phase", json.dumps(step))
+    return step, late
 
 
 def serve_dblp(run, seconds, seed):
     bundle = run.make_bundle("dblp", 0.02)
     rng = random.Random(seed)
-    setups, colds = [], []
-    for i in range(3):  # set up three times, report the medians
-        proc, client, setup, cold = warm_serve(run, bundle, f"server{i}")
+    setups, warmups = [], []
+    for i in range(4):  # set up four times, report the medians
+        proc, client, setup, warm = warm_serve(run, bundle, f"server{i}")
         setups.append(setup)
-        colds.extend(cold)
-        if i < 2:
+        warmups.extend(warm)
+        if i < 3:
             client.close()
             run.procs.stop(proc)
 
-    # Load: lo, hi, then ladder rungs until the first failure.
-    lo_s, hi_s = 0.3 * seconds, 0.45 * seconds
-    rung_s = 3.0
-    stream = lib.request_stream(seed, GRID, BASELINES, 100000)
-    pos = 0
+    # Load: lo and hi, each a whole number of request cycles (every grid
+    # point equally often, whatever the seed), then the goodput search.
+    cycle = len(GRID) + len(BASELINES)
+    stream = iter(lib.request_stream(seed, GRID, BASELINES, 100000))
     lateness = []
-    phases = []
-    # Jittered arrivals (gaps uniform within +-50% of the mean at lo/hi,
-    # +-20% on the rungs): open loop and seeded, without the Poisson bursts
-    # that make a short phase's tail depend on the draw.
-    plan = [("lo", RATE_LO, lo_s, 0.5), ("hi", RATE_HI, hi_s, 0.5)]
-    plan += [(f"rung{r:g}", r, rung_s, 0.2) for r in LADDER]
-    steps = []
-    for name, rate, dur, jitter in plan:
-        sched = lib.jittered_schedule(rng, rate, dur, jitter=jitter)
-        reqs = stream[pos:pos + len(sched)]
-        pos += len(sched)
-        late, backlog, sent = run_phase(client, name, sched, reqs)
+    search = lib.RateSearch(CLIMB, BISECTIONS, TOP_RATE)
+    drained = True
+    for name, rate, share in (("lo", RATE_LO, 0.3), ("hi", RATE_HI, 0.42)):
+        count = cycle * max(1, round(share * seconds * rate / cycle))
+        step, late = load_step(client, rng, stream, name, rate, count)
         lateness.extend(late)
-        drained = client.wait_all(60)
-        recs, ok, lat = phase_stats(client.parsed(), name)
-        misses = len(recs) - len(ok) + sum(1 for x in lat
-                                           if x > LATENCY_LIMIT_MS)
-        grew = lib.backlog_grows(backlog, NPROC) or not drained
-        step = {"name": name, "rate": rate, "sent": len(sched),
-                "passed": lib.step_passes(lat, len(recs) - len(ok),
-                                          LATENCY_LIMIT_MS, grew),
-                "good_rps": lib.good_rate(sent, misses), "misses": misses}
-        phases.append(step)
-        log("phase", json.dumps(step))
-        if name != "lo":
-            steps.append(step)
-        if name.startswith("rung") and not step["passed"]:
-            break
-        if not drained:
-            break
+        search.record(step)
+        drained = drained and step["drained"]
+    while drained and (rate := search.next_rate()) is not None:
+        step, late = load_step(client, rng, stream, f"step{rate:.3g}", rate,
+                               round(rate * STEP_S))
+        lateness.extend(late)
+        search.record(step)
+        drained = step["drained"]
     client.wait_all(60)
     records = [r for r in client.parsed() if r["phase"] != "warm"]
     rss = vm_hwm_mb() + vm_hwm_mb(proc.pid)
@@ -561,14 +584,15 @@ def serve_dblp(run, seconds, seed):
         run.fail(1, f"generator fell behind: p99 lateness {late_p99:.1f} ms")
     log(f"generator lateness p99 {late_p99:.2f} ms over {n_late} sends")
 
-    # Correctness gates.
+    # Correctness gates; warm-up requests count too.
     timed = [r for r in records if r["phase"] in ("lo", "hi")]
-    run.attempted += len(records)
-    run.fail(sum(1 for r in records if not r["resp"].get("ok")),
+    run.attempted += len(records) + len(warmups)
+    run.fail(sum(1 for r in records + warmups if not r["resp"].get("ok")),
              "served request failed")
     run.fail(sum(1 for r in records if r["resp"].get("id") != r["id"]),
              "response id mismatch")
-    run.fail(check_consistent(records), "same request, different answers")
+    run.fail(check_consistent(records + warmups),
+             "same request, different answers")
     sample = random.Random(seed + 1).sample(timed, min(VERIFY_SAMPLE,
                                                        len(timed)))
     run.fail(sum(run.verify(bundle, 1, [(r["req"], r["resp"])
@@ -583,12 +607,16 @@ def serve_dblp(run, seconds, seed):
     # baseline minority adds load and counts toward misses and failures.
     _, _, hi_lat = phase_stats(records, "hi", "tirm")
     _, _, lo_lat = phase_stats(records, "lo", "tirm")
-    gp = lib.goodput(steps)
+    gp = search.goodput()
     if gp is None:
-        gp = phases[0]["good_rps"]
+        run.fail(1, "no load step met the latency limit")
+        gp = 0.0
     run.records = records
     return e2e(setup_s=lib.median(setups), ops_ms=hi_lat, lo_ms=lo_lat,
-               goodput_rps=gp, cold_ms=lib.hd_quantile(colds, 50)[0],
+               goodput_rps=gp,
+               cold_ms=lib.hd_quantile([(r["recv"] - r["due"]) * 1e3
+                                        for r in warmups if r.get("cold")],
+                                       50)[0],
                rss_mb=rss,
                regret=regret_pct(records), attempted=run.attempted,
                failed=run.failed)
@@ -596,60 +624,86 @@ def serve_dblp(run, seconds, seed):
 
 def routed_cycle(run, bundle):
     """Set-up of router_k4 (fresh shard workers + router) and its first,
-    cold query. Returns (procs, client, setup seconds, cold ms)."""
+    cold query. Returns (procs, client, setup seconds, cold record, CPU
+    steal during the cold query)."""
     t0 = time.monotonic()
     procs, port = run.start_router(bundle, NPROC)
     setup = time.monotonic() - t0
     client = Client(port, 1)
+    steal0, total0 = cpu_times()
     client.send(GRID[0], time.monotonic(), "cold")
     if not client.wait_all(120):
         raise RuntimeError("cold routed query timed out")
-    rec = client.parsed()[-1]
-    return procs, client, setup, (rec["recv"] - rec["due"]) * 1e3
+    steal1, total1 = cpu_times()
+    return (procs, client, setup, client.parsed()[-1],
+            (steal1 - steal0) / max(1, total1 - total0))
 
 
 def router_k4(run, seconds, seed):
     bundle = run.make_bundle("dblp", 0.02)
-    setups, colds = [], []
-    for i in range(5):  # set up five times, report the medians
-        procs, client, setup, cold = routed_cycle(run, bundle)
+    setups, cold_recs, cold_steals = [], [], []
+    for i in range(7):  # set up seven times, report the medians
+        procs, client, setup, cold, steal = routed_cycle(run, bundle)
         setups.append(setup)
-        colds.append(cold)
-        if i < 4:
+        cold_recs.append(cold)
+        cold_steals.append(steal)
+        if i < 6:
             client.close()
             for p in procs:
                 run.procs.stop(p)
+    # Warm queries in whole cycles of the grid (every point equally often,
+    # whatever the seed); each cycle's CPU steal decides whether its
+    # latencies are timed.
     stream = lib.request_stream(seed, GRID, [], 100000)
     deadline = time.monotonic() + seconds
-    pos = 0
+    cycles, steals, pos = [], [], 0
     while time.monotonic() < deadline:
-        client.send(stream[pos], time.monotonic(), "warm")
-        pos += 1
-        if not client.wait_all(120):
-            raise RuntimeError("routed query timed out")
-    records = client.parsed()
+        steal0, total0 = cpu_times()
+        for _ in GRID:
+            client.send(stream[pos], time.monotonic(), "warm")
+            pos += 1
+            if not client.wait_all(120):
+                raise RuntimeError("routed query timed out")
+        steal1, total1 = cpu_times()
+        cycles.append(client.parsed()[-len(GRID):])
+        steals.append((steal1 - steal0) / max(1, total1 - total0))
+    records = [r for c in cycles for r in c]
     rss = vm_hwm_mb() + sum(vm_hwm_mb(p.pid) for p in procs)
     client.close()
     for p in procs:
         run.procs.stop(p)
 
-    run.attempted += len(records)
-    run.fail(sum(1 for r in records if not r["resp"].get("ok")),
+    # Gates: every query, cold ones included, answered ok; the same request
+    # always gets the same answer; every routed allocation equals the
+    # in-process single-store allocation.
+    run.attempted += len(records) + len(cold_recs)
+    run.fail(sum(1 for r in records + cold_recs if not r["resp"].get("ok")),
              "routed request failed")
-    run.fail(check_consistent(records), "same request, different answers")
-    # Every routed allocation vs the in-process single-store allocation.
+    run.fail(check_consistent(records + cold_recs),
+             "same request, different answers")
     distinct = {}
     for r in records:
         distinct.setdefault(grid_key(r["req"]), r)
-    pairs = [(r["req"], r["resp"]) for r in distinct.values()]
-    bad = {grid_key(req) for (req, _), wrong
-           in zip(pairs, run.verify(bundle, 1, pairs)) if wrong}
-    run.fail(sum(1 for r in records if grid_key(r["req"]) in bad),
+    checked = list(distinct.values()) + cold_recs
+    wrong = run.verify(bundle, 1, [(r["req"], r["resp"]) for r in checked])
+    bad = {grid_key(r["req"]) for r, w in zip(checked[:len(distinct)], wrong)
+           if w}
+    run.fail(sum(1 for r in records if grid_key(r["req"]) in bad)
+             + sum(wrong[len(distinct):]),
              "routed allocation differs from single-store")
 
-    warm = [(r["recv"] - r["due"]) * 1e3 for r in records
-            if r["phase"] == "warm" and r["resp"].get("ok")]
-    run.records = records
+    colds = [(r["recv"] - r["due"]) * 1e3 for r in
+             lib.quietest(cold_recs, cold_steals, STEAL_LIMIT)
+             if r["resp"].get("ok")]
+    log("cold routed queries (ms @ steal):", " ".join(
+        f"{(r['recv'] - r['due']) * 1e3:.0f}@{100 * st:.1f}%"
+        for r, st in zip(cold_recs, cold_steals)))
+    quiet = lib.quietest(cycles, steals, STEAL_LIMIT)
+    log(f"timing {len(quiet)} of {len(cycles)} warm cycles (steal per "
+        "cycle: " + " ".join(f"{100 * s:.1f}%" for s in steals) + ")")
+    warm = [(r["recv"] - r["due"]) * 1e3 for c in quiet for r in c
+            if r["resp"].get("ok")]
+    run.records = cold_recs + records
     return e2e(setup_s=lib.median(setups), ops_ms=warm, lo_ms=warm,
                goodput_rps=len(warm) / (sum(warm) / 1e3),
                cold_ms=lib.hd_quantile(colds, 50)[0], rss_mb=rss,

@@ -54,20 +54,21 @@ class PercentileTest(unittest.TestCase):
 
 class ScheduleTest(unittest.TestCase):
     def test_jittered_is_seeded_sorted_and_near_rate(self):
-        a = lib.jittered_schedule(random.Random(5), 50.0, 40.0)
+        a = lib.jittered_schedule(random.Random(5), 50.0, 2000, 0.5)
         self.assertEqual(a, lib.jittered_schedule(random.Random(5), 50.0,
-                                                  40.0))
+                                                  2000, 0.5))
+        self.assertEqual(len(a), 2000)
         self.assertEqual(a, sorted(a))
-        self.assertTrue(all(0 <= t < 40.0 for t in a))
-        self.assertAlmostEqual(len(a) / 40.0, 50.0, delta=2.0)
+        self.assertGreaterEqual(a[0], 0.0)
+        self.assertAlmostEqual(a[-1], 40.0, delta=1.0)
         self.assertNotEqual(a, lib.jittered_schedule(random.Random(6), 50.0,
-                                                     40.0))
+                                                     2000, 0.5))
 
     def test_jittered_gaps_stay_in_band(self):
-        times = lib.jittered_schedule(random.Random(1), 10.0, 5.0, jitter=0.2)
+        times = lib.jittered_schedule(random.Random(1), 10.0, 50, 0.2)
         gaps = [b - a for a, b in zip(times, times[1:])]
         self.assertTrue(all(0.08 - 1e-12 <= g <= 0.12 + 1e-12 for g in gaps))
-        self.assertAlmostEqual(len(times), 50, delta=6)
+        self.assertLess(times[0], 0.1)
 
     def test_cycles_cover_the_grid_with_baselines_spread(self):
         grid, base = list(range(12)), ["x", "y"]
@@ -104,14 +105,63 @@ class GoodputTest(unittest.TestCase):
         self.assertAlmostEqual(lib.good_rate(sent, 11), 0.0)
         self.assertEqual(lib.good_rate([1.0], 0), 0.0)
 
-    def test_goodput_stops_at_first_failure(self):
-        steps = [{"rate": 8, "passed": True, "good_rps": 7.9},
-                 {"rate": 11, "passed": True, "good_rps": 10.8},
-                 {"rate": 14, "passed": False, "good_rps": 9.0},
-                 {"rate": 20, "passed": True, "good_rps": 19.0}]
-        self.assertEqual(lib.goodput(steps), 10.8)
-        self.assertIsNone(lib.goodput([{"rate": 8, "passed": False,
-                                        "good_rps": 1.0}]))
+    @staticmethod
+    def search(capacity, climb=1.5, bisections=3, top=64.0):
+        """Runs a RateSearch against a server that passes every rate up to
+        `capacity`; returns (offered rates, goodput)."""
+        s = lib.RateSearch(climb, bisections, top)
+        rates = [5.0, 8.0]
+        for r in rates:
+            s.record({"rate": r, "passed": r <= capacity, "good_rps": r})
+        while (r := s.next_rate()) is not None:
+            rates.append(r)
+            s.record({"rate": r, "passed": r <= capacity, "good_rps": r})
+        return rates, s.goodput()
+
+    def test_search_climbs_then_bisects(self):
+        rates, gp = self.search(16.5)
+        self.assertEqual(rates[:4], [5.0, 8.0, 12.0, 18.0])
+        self.assertEqual(len(rates), 7)  # three bisections after the failure
+        self.assertAlmostEqual(rates[4], math.sqrt(12.0 * 18.0))
+        # Known to within climb ** (1 / 8): about 5%.
+        self.assertLessEqual(gp, 16.5)
+        self.assertGreater(gp, 16.5 / 1.5 ** 0.125)
+
+    def test_search_resolves_small_changes(self):
+        # A capacity drop of 15% must show as a goodput drop of at least
+        # 15% minus the search's resolution.
+        for capacity in (13.0, 15.0, 17.0, 19.0):
+            before = self.search(capacity)[1]
+            after = self.search(capacity * 0.85)[1]
+            self.assertLess(after / before, 0.85 * 1.5 ** 0.125)
+        # And a 2x faster server reads about 2x.
+        self.assertGreater(self.search(34.0)[1] / self.search(17.0)[1], 1.8)
+
+    def test_search_stops_at_top_and_on_early_failure(self):
+        rates, gp = self.search(1000.0, top=30.0)
+        self.assertEqual(rates, [5.0, 8.0, 12.0, 18.0, 27.0])
+        self.assertEqual(gp, 27.0)
+        rates, gp = self.search(3.0)  # lo fails: no goodput at all
+        self.assertEqual(rates, [5.0, 8.0])
+        self.assertIsNone(gp)
+        rates, gp = self.search(6.0)  # hi fails: bisect between lo and hi
+        self.assertEqual(len(rates), 5)
+        self.assertTrue(5.0 <= gp <= 6.0)
+
+
+class QuietestTest(unittest.TestCase):
+    def test_keeps_quiet_values_in_order(self):
+        values = [10, 20, 30, 40]
+        steals = [0.0, 0.05, 0.01, 0.0]
+        self.assertEqual(lib.quietest(values, steals, 0.02), [10, 30, 40])
+
+    def test_never_fewer_than_the_quietest_share(self):
+        values = [10, 20, 30, 40, 50]
+        steals = [0.09, 0.05, 0.30, 0.04, 0.20]
+        self.assertEqual(lib.quietest(values, steals, 0.02), [10, 20, 40])
+        self.assertEqual(lib.quietest([7], [0.5], 0.02), [7])
+        with self.assertRaises(ValueError):
+            lib.quietest([1, 2], [0.0], 0.02)
 
 
 class LayerSumTest(unittest.TestCase):

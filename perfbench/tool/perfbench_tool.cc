@@ -2,19 +2,22 @@
 // is the other half: it builds this binary next to tirm_server, starts the
 // servers, drives the load, and computes the reported metrics).
 //
-//   perfbench_tool cold      --dataset=livejournal --scale=0.002
-//                            --bundle=<out.tirm> --seconds=20 [config]
+//   perfbench_tool cold      --dataset=D --scale=S --data_seed=N
+//                            --bundle=<out.tirm> --seconds=T [config]
 //   perfbench_tool reference --bundle=<in.tirm> --requests=<file> [config]
-//   perfbench_tool layers    --dataset=dblp --scale=0.02 --bundle=<in.tirm>
-//                            --requests=<file> --spans=<out.json> [config]
+//   perfbench_tool layers    --dataset=D --scale=S --data_seed=N
+//                            --bundle=<in.tirm> --requests=<file>
+//                            --sample_threads=N --sample_sets=N
+//                            --spans=<out.json> [config]
 //   perfbench_tool shard     --bundle=<in.tirm> --ports=p0,p1,...
 //                            --requests=<file> [config]
 //
 // [config] is the allocator baseline every request starts from: --eps,
 // --theta_cap, --threads (any AllocatorConfig flag) plus --eval_sims and
-// --seed (engine options). The request files hold the same NDJSON lines the
-// workload sends to tirm_server. Every subcommand prints one JSON object on
-// stdout; exit 1 on a usage or input error.
+// --seed (engine options, required). The request files hold the same NDJSON
+// lines the workload sends to tirm_server. Every flag shown is required:
+// run.py is the one place their values are chosen. Every subcommand prints
+// one JSON object on stdout; exit 1 on a usage or input error.
 //
 // The tool times public entry points only (datasets, io, rrset, alloc,
 // diffusion, api, serve::protocol, serve::RemoteShardClient); it adds no
@@ -31,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,50 @@ int Fail(const std::string& message) {
 }
 
 int Fail(const Status& status) { return Fail(status.ToString()); }
+
+// Required flags: no second copy of run.py's values lives here.
+Result<std::string> RequiredString(const Flags& flags, const std::string& key) {
+  if (!flags.Has(key)) return Status::InvalidArgument("missing --" + key);
+  return flags.GetString(key, "");
+}
+
+Result<std::int64_t> RequiredInt(const Flags& flags, const std::string& key) {
+  if (!flags.Has(key)) return Status::InvalidArgument("missing --" + key);
+  return flags.GetIntStrict(key, 0);
+}
+
+Result<double> RequiredDouble(const Flags& flags, const std::string& key) {
+  if (!flags.Has(key)) return Status::InvalidArgument("missing --" + key);
+  return flags.GetDoubleStrict(key, 0.0);
+}
+
+/// Machine-wide CPU jiffies from /proc/stat: all of them, and those the
+/// hypervisor gave to other guests (steal), the timing noise floor on a
+/// shared host. Zeros where /proc/stat is unreadable.
+struct CpuTimes {
+  std::uint64_t steal = 0;
+  std::uint64_t total = 0;
+};
+
+CpuTimes ReadCpuTimes() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  in >> cpu;
+  CpuTimes t;
+  for (int i = 0; i < 8; ++i) {
+    std::uint64_t v = 0;
+    if (!(in >> v)) return {};
+    t.total += v;
+    if (i == 7) t.steal = v;
+  }
+  return t;
+}
+
+double StealFraction(const CpuTimes& from, const CpuTimes& to) {
+  if (to.total <= from.total) return 0.0;
+  return static_cast<double>(to.steal - from.steal) /
+         static_cast<double>(to.total - from.total);
+}
 
 // ---- Spans: the benchmark's own flight recorder (name, start, end,
 // parent), kept in memory and dumped once.
@@ -153,9 +199,9 @@ Result<Setup> ParseSetup(const Flags& flags) {
   Result<AllocatorConfig> config = AllocatorConfig::FromFlags(flags);
   if (!config.ok()) return config.status();
   setup.defaults.config = *config;
-  Result<std::int64_t> sims = flags.GetIntStrict("eval_sims", 2000);
+  Result<std::int64_t> sims = RequiredInt(flags, "eval_sims");
   if (!sims.ok()) return sims.status();
-  Result<std::int64_t> seed = flags.GetIntStrict("seed", 2015);
+  Result<std::int64_t> seed = RequiredInt(flags, "seed");
   if (!seed.ok()) return seed.status();
   setup.engine.eval_sims = static_cast<std::size_t>(*sims);
   setup.engine.seed = static_cast<std::uint64_t>(*seed);
@@ -241,37 +287,56 @@ void WriteRunCounters(JsonWriter& w, const AllocationResult& result) {
           static_cast<std::uint64_t>(SumExpansions(result)));
 }
 
+/// The instance a subcommand builds: --dataset, --scale and --data_seed.
+struct DatasetFlags {
+  std::string dataset;
+  double scale = 0.0;
+  std::uint64_t seed = 0;
+};
+
+Result<DatasetFlags> ParseDataset(const Flags& flags) {
+  Result<std::string> dataset = RequiredString(flags, "dataset");
+  if (!dataset.ok()) return dataset.status();
+  Result<double> scale = RequiredDouble(flags, "scale");
+  if (!scale.ok()) return scale.status();
+  Result<std::int64_t> seed = RequiredInt(flags, "data_seed");
+  if (!seed.ok()) return seed.status();
+  return DatasetFlags{dataset.MoveValue(), *scale,
+                      static_cast<std::uint64_t>(*seed)};
+}
+
 // ---- cold: repeated cold allocations, each on a fresh engine over one
 // prebuilt (bundle-mapped) instance.
+
+/// Instance builds in the set-up; the median is reported.
+constexpr int kColdSetups = 3;
 
 int RunCold(const Flags& flags) {
   Result<Setup> setup = ParseSetup(flags);
   if (!setup.ok()) return Fail(setup.status());
   Result<EngineQuery> query = EngineQuery::FromFlags(flags);
   if (!query.ok()) return Fail(query.status());
-  const std::string dataset = flags.GetString("dataset", "livejournal");
-  const double scale = flags.GetDouble("scale", 0.002);
-  const std::uint64_t data_seed =
-      static_cast<std::uint64_t>(flags.GetInt("data_seed", 2015));
-  const double seconds = flags.GetDouble("seconds", 20.0);
-  const int setups = static_cast<int>(flags.GetInt("setups", 3));
-  const std::string bundle = flags.GetString("bundle", "");
-  if (bundle.empty()) return Fail("cold needs --bundle=<out.tirm>");
+  Result<DatasetFlags> data = ParseDataset(flags);
+  if (!data.ok()) return Fail(data.status());
+  Result<double> seconds = RequiredDouble(flags, "seconds");
+  if (!seconds.ok()) return Fail(seconds.status());
+  Result<std::string> bundle = RequiredString(flags, "bundle");
+  if (!bundle.ok()) return Fail(bundle.status());
 
-  // Set-up: the instance build, repeated; the median is reported.
   std::vector<double> setup_s;
   BuiltInstance built;
-  for (int i = 0; i < std::max(1, setups); ++i) {
+  for (int i = 0; i < kColdSetups; ++i) {
     const double t0 = Now();
-    Rng rng(data_seed);
-    Result<BuiltInstance> b = BuildNamedDataset(dataset, scale, rng);
+    Rng rng(data->seed);
+    Result<BuiltInstance> b = BuildNamedDataset(data->dataset, data->scale,
+                                                rng);
     if (!b.ok()) return Fail(b.status());
     setup_s.push_back(Now() - t0);
     built = b.MoveValue();
   }
-  if (Status s = WriteBundle(built, bundle); !s.ok()) return Fail(s);
+  if (Status s = WriteBundle(built, *bundle); !s.ok()) return Fail(s);
   built = BuiltInstance();
-  Result<MappedFile> mapped = MappedFile::Open(bundle);
+  Result<MappedFile> mapped = MappedFile::Open(*bundle);
   if (!mapped.ok()) return Fail(mapped.status());
   auto mapping = std::make_shared<const MappedFile>(mapped.MoveValue());
   if (Result<BuiltInstance> probe = LoadBundleInstance(mapping);
@@ -281,20 +346,23 @@ int RunCold(const Flags& flags) {
 
   const AllocatorConfig& config = setup->defaults.config;
   std::vector<double> op_ms;
+  std::vector<double> op_steal;
   std::vector<double> regret_pct;
   std::uint64_t failed = 0;
   std::uint64_t mismatched = 0;
   std::optional<EngineRun> first;
-  const double deadline = Now() + seconds;
+  const double deadline = Now() + *seconds;
   do {
     Result<BuiltInstance> instance =
         LoadBundleInstance(mapping, {.verify = false});
     if (!instance.ok()) return Fail(instance.status());
+    const CpuTimes cpu0 = ReadCpuTimes();
     const double t0 = Now();
     AdAllocEngine engine(instance.MoveValue(), setup->engine);
     Result<EngineRun> run = engine.Run(config, *query);
     const double t1 = Now();
     op_ms.push_back((t1 - t0) * 1e3);
+    op_steal.push_back(StealFraction(cpu0, ReadCpuTimes()));
     if (!run.ok()) {
       std::fprintf(stderr, "perfbench_tool: cold op failed: %s\n",
                    run.status().ToString().c_str());
@@ -320,6 +388,10 @@ int RunCold(const Flags& flags) {
   w.Key("op_ms");
   w.BeginArray();
   for (double ms : op_ms) w.Double(ms);
+  w.EndArray();
+  w.Key("op_steal");
+  w.BeginArray();
+  for (double s : op_steal) w.Double(s);
   w.EndArray();
   w.Key("regret_pct");
   w.BeginArray();
@@ -382,16 +454,19 @@ int RunReference(const Flags& flags) {
 int RunLayers(const Flags& flags) {
   Result<Setup> setup = ParseSetup(flags);
   if (!setup.ok()) return Fail(setup.status());
-  const std::string dataset = flags.GetString("dataset", "dblp");
-  const double scale = flags.GetDouble("scale", 0.02);
-  const std::uint64_t data_seed =
-      static_cast<std::uint64_t>(flags.GetInt("data_seed", 2015));
-  const std::string bundle = flags.GetString("bundle", "");
-  const int sample_threads = static_cast<int>(
-      flags.GetInt("sample_threads",
-                   std::max(1u, std::thread::hardware_concurrency())));
-  const std::uint64_t sample_sets =
-      static_cast<std::uint64_t>(flags.GetInt("sample_sets", 1 << 15));
+  Result<DatasetFlags> data = ParseDataset(flags);
+  if (!data.ok()) return Fail(data.status());
+  Result<std::string> bundle_flag = RequiredString(flags, "bundle");
+  if (!bundle_flag.ok()) return Fail(bundle_flag.status());
+  const std::string bundle = bundle_flag.MoveValue();
+  Result<std::int64_t> threads_flag = RequiredInt(flags, "sample_threads");
+  if (!threads_flag.ok()) return Fail(threads_flag.status());
+  const int sample_threads = static_cast<int>(*threads_flag);
+  Result<std::int64_t> sets_flag = RequiredInt(flags, "sample_sets");
+  if (!sets_flag.ok()) return Fail(sets_flag.status());
+  const std::uint64_t sample_sets = static_cast<std::uint64_t>(*sets_flag);
+  Result<std::string> spans_out = RequiredString(flags, "spans");
+  if (!spans_out.ok()) return Fail(spans_out.status());
   std::vector<std::string> lines;
   Result<std::vector<serve::AllocationRequest>> requests = ReadRequests(
       flags.GetString("requests", ""), setup->defaults, &lines);
@@ -415,15 +490,16 @@ int RunLayers(const Flags& flags) {
   // datasets / io.
   {
     ScopedSpan span(&spans, "datasets.build");
-    Rng rng(data_seed);
-    Result<BuiltInstance> b = BuildNamedDataset(dataset, scale, rng);
+    Rng rng(data->seed);
+    Result<BuiltInstance> b = BuildNamedDataset(data->dataset, data->scale,
+                                                rng);
     if (!b.ok()) return Fail(b.status());
     m.Field("datasets.build_s", span.Stop());
   }
   std::vector<double> load_ms;
   for (int i = 0; i < 3; ++i) {
     ScopedSpan span(&spans, "io.bundle.load");
-    Rng rng(data_seed);
+    Rng rng(data->seed);
     Result<BuiltInstance> b = BuildNamedDataset("bundle:" + bundle, 1.0, rng);
     if (!b.ok()) return Fail(b.status());
     load_ms.push_back(span.Stop() * 1e3);
@@ -645,12 +721,12 @@ int RunLayers(const Flags& flags) {
   m.EndObject();
   m.EndObject();
 
-  if (const std::string out = flags.GetString("spans", ""); !out.empty()) {
+  {
     JsonWriter sw;
     spans.Write(sw);
-    std::ofstream file(out);
+    std::ofstream file(*spans_out);
     file << sw.str() << '\n';
-    if (!file) return Fail("cannot write " + out);
+    if (!file) return Fail("cannot write " + *spans_out);
   }
   std::printf("%s\n", m.str().c_str());
   return 0;

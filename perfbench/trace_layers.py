@@ -130,7 +130,8 @@ def serve_probe(run, cfg, bundle, seconds, seed):
     start = time.monotonic()
     if cfg["workers"] > 1:  # open loop at the workload's hi rate
         sched = lib.jittered_schedule(random.Random(seed), bench.RATE_HI,
-                                      seconds)
+                                      round(bench.RATE_HI * seconds),
+                                      bench.JITTER)
         bench.run_phase(client, "probe", sched, stream[:len(sched)])
         if not client.wait_all(120):
             raise RuntimeError("probe timed out")
