@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
 #include "alloc/tirm.h"
 #include "api/ad_alloc_engine.h"
 #include "api/allocator_registry.h"
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
@@ -232,6 +235,42 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
   reference.EnsureSets(ref, 64 * 8);
   EXPECT_EQ(Materialize(shared->sets(), shared->sets().NumSets()),
             Materialize(ref->sets(), ref->sets().NumSets()));
+}
+
+// FNV hash over a pool's bytes: every set's members in id order, then
+// every node's postings.
+std::uint64_t PoolHash(const RrSetPool& pool) {
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto add = [&h](std::span<const std::uint32_t> values) {
+    const std::uint64_t size = values.size();
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, values.data(), values.size_bytes());
+  };
+  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+    add(pool.SetMembers(id));
+  }
+  for (NodeId v = 0; v < pool.num_nodes(); ++v) add(pool.Postings(v));
+  return FinalizeHash(h);
+}
+
+// Golden pool bytes at the default chunk size, grown over several chunks
+// and several EnsureSets calls. The other determinism tests compare the
+// sampler against itself; these hashes were recorded once, so a change to
+// any sampling stream, quota, set id or posting fails here.
+TEST_F(SampleStoreTest, GoldenPoolBytesAtOneAndFourThreads) {
+  for (const auto& [threads, golden] :
+       {std::pair<int, std::uint64_t>{1, 0x4091ead05a2e4906ULL},
+        std::pair<int, std::uint64_t>{4, 0x1945e93aaf82f9c4ULL}}) {
+    RrSampleStore store(&graph_, {.seed = 2015, .num_threads = threads});
+    RrSampleStore::AdPool* entry = store.Acquire(3, probs_);
+    store.EnsureSets(entry, 1);             // chunk 0
+    store.EnsureSets(entry, 2 * 4096 + 1);  // chunks 1-2
+    store.EnsureSets(entry, 5 * 4096);      // chunks 3-4
+    ASSERT_EQ(entry->sets().NumSets(), 5u * 4096);
+    EXPECT_EQ(PoolHash(entry->sets()), golden)
+        << "threads=" << threads << " hash=0x" << std::hex
+        << PoolHash(entry->sets());
+  }
 }
 
 // --------------------------------------------- golden: pooled == fresh
