@@ -1,6 +1,7 @@
 #include "rrset/parallel_rr_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <utility>
 
@@ -73,43 +74,63 @@ ParallelRrBuilder::Batch ParallelRrBuilder::SampleSetsOnly(std::uint64_t count,
 
 std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
     std::uint64_t count, Rng& master) {
-  return SampleParts(count, master, /*keep_sets=*/true, /*keep_stats=*/false);
+  return SampleParts(count, {&master, 1}, /*keep_sets=*/true,
+                     /*keep_stats=*/false);
+}
+
+std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
+    std::uint64_t count, std::span<Rng> masters) {
+  return SampleParts(count, masters, /*keep_sets=*/true, /*keep_stats=*/false);
 }
 
 std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
-    std::uint64_t count, Rng& master, bool keep_sets, bool keep_stats) {
-  // Fork the per-worker streams sequentially on the calling thread; the
-  // result is a pure function of the master state, independent of scheduling.
-  const int workers =
+    std::uint64_t count, std::span<Rng> masters, bool keep_sets,
+    bool keep_stats) {
+  // Every master splits its `count` sets into the same contiguous parts a
+  // lone batch of `count` would get, one forked stream each. The forks run
+  // sequentially on the calling thread, so a part is a pure function of its
+  // master state, `count` and the thread count: never of scheduling, nor of
+  // which other masters share the fan-out.
+  const std::uint64_t parts_per_master =
       count < min_parallel_batch_
           ? 1
-          : static_cast<int>(
-                std::min<std::uint64_t>(count,
-                                        static_cast<std::uint64_t>(num_threads_)));
-  std::vector<Rng> streams;
-  streams.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    streams.push_back(master.Fork(static_cast<std::uint64_t>(i)));
+          : std::min<std::uint64_t>(count,
+                                    static_cast<std::uint64_t>(num_threads_));
+  const std::uint64_t base =
+      parts_per_master == 0 ? 0 : count / parts_per_master;
+  const std::uint64_t rem =
+      parts_per_master == 0 ? 0 : count % parts_per_master;
+  struct Task {
+    Rng stream;
+    std::uint64_t quota;
+  };
+  std::vector<Task> tasks;
+  tasks.reserve(masters.size() * parts_per_master);
+  for (Rng& master : masters) {
+    for (std::uint64_t i = 0; i < parts_per_master; ++i) {
+      tasks.push_back({master.Fork(i), base + (i < rem ? 1 : 0)});
+    }
   }
+  std::vector<Batch> parts(tasks.size());
+  if (tasks.empty()) return parts;
 
-  const std::uint64_t base = workers == 0 ? 0 : count / workers;
-  const std::uint64_t rem = workers == 0 ? 0 : count % workers;
-  std::vector<Batch> parts(static_cast<std::size_t>(workers));
-
-  auto run_worker = [&](int w) {
-    const std::uint64_t quota =
-        base + (static_cast<std::uint64_t>(w) < rem ? 1 : 0);
-    // Per-worker sampling batch: spans land in the worker thread's own
-    // buffer, so the fan-out shows up as parallel lanes in the trace.
+  auto run_task = [&](std::size_t k, int worker, std::vector<NodeId>& scratch) {
+    const std::uint64_t quota = tasks[k].quota;
+    // One span per part: spans land in the worker thread's own buffer, so
+    // the fan-out shows up as parallel lanes in the trace.
     obs::TraceSpan span("rr_sample_batch");
-    span.Counter("worker", w);
+    span.Counter("worker", worker);
+    span.Counter("chunk", static_cast<double>(k / parts_per_master));
+    span.Counter("part", static_cast<double>(k % parts_per_master));
     span.Counter("quota", static_cast<double>(quota));
-    RrSampler& sampler = SamplerFor(w);
-    // Samplers are reused across batches; drop any coins buffered from a
-    // previous batch's stream so this part is a pure function of `rng`.
+    RrSampler& sampler = *samplers_[static_cast<std::size_t>(worker)];
+    // Samplers are reused across parts; drop any coins buffered from the
+    // previous part's stream so this part is a pure function of `rng`.
     sampler.ResetStreamState();
-    Rng& rng = streams[static_cast<std::size_t>(w)];
-    Batch& part = parts[static_cast<std::size_t>(w)];
+    // The stream and the part are this thread's own: the hot loop writes
+    // no cache line a sibling writes too, and the part is moved out once.
+    Rng rng = tasks[k].stream;
+    Batch part;
     if (keep_sets) {
       part.offsets.reserve(quota + 1);
       part.offsets.push_back(0);
@@ -118,7 +139,6 @@ std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
       part.roots.reserve(quota);
       part.widths.reserve(quota);
     }
-    std::vector<NodeId> scratch;
     for (std::uint64_t t = 0; t < quota; ++t) {
       const NodeId root = sampler.SampleInto(rng, scratch);
       part.max_traversal = std::max(part.max_traversal,
@@ -133,21 +153,33 @@ std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
       }
     }
     span.Counter("max_traversal", static_cast<double>(part.max_traversal));
+    parts[k] = std::move(part);
   };
 
-  if (workers <= 1) {
-    if (workers == 1) run_worker(0);
-  } else {
-    // SamplerFor mutates samplers_; materialize every worker's sampler
-    // before the threads start so the workers only touch their own slot.
-    for (int w = 0; w < workers; ++w) SamplerFor(w);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) {
-      threads.emplace_back(run_worker, w);
+  // Below min_parallel_batch sets in total the whole fan-out runs inline;
+  // otherwise up to num_threads() threads pull parts off one counter.
+  const int threads =
+      count * masters.size() < min_parallel_batch_
+          ? 1
+          : static_cast<int>(std::min<std::size_t>(
+                tasks.size(), static_cast<std::size_t>(num_threads_)));
+  // SamplerFor mutates samplers_; materialize every worker's sampler
+  // before the threads start so the workers only read the vector.
+  for (int w = 0; w < threads; ++w) SamplerFor(w);
+  std::atomic<std::size_t> next{0};
+  auto run_worker = [&](int worker) {
+    std::vector<NodeId> scratch;
+    for (std::size_t k = next++; k < tasks.size(); k = next++) {
+      run_task(k, worker, scratch);
     }
+  };
+  {
+    // jthreads join on every exit from this scope, exceptions included,
+    // before the tasks and parts they write go away.
+    std::vector<std::jthread> workers;
+    workers.reserve(static_cast<std::size_t>(threads) - 1);
+    for (int w = 1; w < threads; ++w) workers.emplace_back(run_worker, w);
     run_worker(0);
-    for (auto& t : threads) t.join();
   }
   return parts;
 }
@@ -157,8 +189,8 @@ ParallelRrBuilder::Batch ParallelRrBuilder::SampleImpl(std::uint64_t count,
                                                        bool keep_sets,
                                                        bool keep_stats) {
   const std::vector<Batch> parts =
-      SampleParts(count, master, keep_sets, keep_stats);
-  // Concatenate in worker order — deterministic regardless of scheduling.
+      SampleParts(count, {&master, 1}, keep_sets, keep_stats);
+  // Concatenate in part order — deterministic regardless of scheduling.
   Batch out;
   for (const Batch& p : parts) {
     out.max_traversal = std::max(out.max_traversal, p.max_traversal);

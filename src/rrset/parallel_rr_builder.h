@@ -1,24 +1,31 @@
 // Parallel RR/RRC-set generation (the dominant cost of TIM/TIRM, §5).
 //
 // RrSampler is deliberately "not thread-safe; create one per thread" — this
-// builder does exactly that: it owns one RrSampler per worker slot and fans a
-// requested batch of `count` sets out across N threads. Determinism is
-// preserved for a fixed (master RNG state, count, thread count, kernel):
+// builder does exactly that: it owns one RrSampler per worker slot and fans
+// sampling out across N threads. Every call is one fan-out over one or more
+// master streams (one per pool chunk for RrSampleStore top-ups, one for a
+// plain batch or a KPT round). Determinism is preserved for a fixed (master
+// RNG states, count, thread count, kernel):
 //
-//  * the master Rng forks one child stream per worker, sequentially, on the
-//    calling thread (Rng::Fork is deterministic in state and salt);
-//  * worker i samples a fixed contiguous chunk of the batch with its own
-//    sampler and its own stream, writing into worker-local storage;
-//  * chunks are concatenated (or adopted) in worker order, so the result is
-//    byte-identical no matter how the OS schedules the threads.
+//  * each master splits its `count` sets into min(count, thread count)
+//    contiguous parts (one part below min_parallel_batch) and forks one
+//    child stream per part, sequentially, on the calling thread (Rng::Fork
+//    is deterministic in state and salt);
+//  * the (master, part) tasks are pulled off one atomic counter by up to
+//    num_threads() threads; a task copies its stream into a thread-local
+//    Rng and fills a thread-local part, so workers share no written cache
+//    line, and the part is moved into its slot once at the end;
+//  * parts are returned (or concatenated) in (master, part) order, so the
+//    result is byte-identical no matter how the OS schedules the threads or
+//    how many masters share one fan-out.
 //
 // The produced Batch carries the flattened sets, their roots, and the TIM
 // widths w(R) (sum of in-degrees over the traversal), so both KPT estimation
 // and θ-driven collection growth can consume the same output without
 // resampling.
 //
-// Arena-direct consumption: SampleChunks exposes the worker-local parts
-// *before* the concatenation copy, still in deterministic worker order.
+// Arena-direct consumption: SampleChunks exposes the per-part buffers
+// *before* the concatenation copy, still in deterministic order.
 // RrSetPool::AdoptChunk moves each part's flattened node buffer into the
 // pool arena wholesale, which removes both copies of the legacy path
 // (worker part -> merged Batch -> pool arena). SampleSetsInto streams
@@ -53,15 +60,16 @@ class ParallelRrBuilder {
   struct Options {
     /// Worker threads; <= 0 selects std::thread::hardware_concurrency().
     int num_threads = 1;
-    /// Batches smaller than this run inline on the calling thread — thread
-    /// spawn overhead dwarfs the sampling work below it.
+    /// A master with fewer sets is one part, and a fan-out with fewer sets
+    /// in total runs inline on the calling thread — thread spawn overhead
+    /// dwarfs the sampling work below it.
     std::uint64_t min_parallel_batch = 256;
     /// Reverse-BFS inner-loop kernel (kAuto resolves to kClassic — see
     /// rrset/sampler_kernel.h for the determinism contract).
     SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   };
 
-  /// One sampled batch, chunks concatenated in worker order. Set k occupies
+  /// One sampled batch, parts concatenated in part order. Set k occupies
   /// nodes[offsets[k] .. offsets[k+1]). roots/widths are empty for batches
   /// from SampleSetsOnly (and nodes/offsets/roots for SampleWidths).
   struct Batch {
@@ -93,11 +101,11 @@ class ParallelRrBuilder {
   ParallelRrBuilder(const Graph& graph, std::span<const float> edge_probs,
                     std::span<const float> node_ctps, Options options);
 
-  /// Samples `count` sets. Consumes one fork of `master` per active worker —
+  /// Samples `count` sets. Consumes one fork of `master` per part —
   /// min(count, num_threads()) forks, or a single fork when `count` is below
   /// `min_parallel_batch` — so the master stream's advancement depends on the
-  /// batch size as well as the thread count. Chunk sizes differ by at most
-  /// one across workers.
+  /// batch size as well as the thread count. Part sizes differ by at most
+  /// one.
   Batch SampleBatch(std::uint64_t count, Rng& master);
 
   /// Widths-only variant for KPT estimation: same sampling streams as
@@ -110,16 +118,22 @@ class ParallelRrBuilder {
   /// read.
   Batch SampleSetsOnly(std::uint64_t count, Rng& master);
 
-  /// Sets-only sampling returned as the worker-local parts in deterministic
-  /// worker order, WITHOUT the concatenation copy. Identical streams and
-  /// set contents to SampleSetsOnly — concatenating the parts reproduces it
+  /// Sets-only sampling returned as the per-part buffers in deterministic
+  /// part order, WITHOUT the concatenation copy. Identical streams and set
+  /// contents to SampleSetsOnly — concatenating the parts reproduces it
   /// byte for byte. The arena-direct hot path: callers move each part's
   /// `nodes` buffer straight into RrSetPool::AdoptChunk.
   std::vector<Batch> SampleChunks(std::uint64_t count, Rng& master);
 
+  /// SampleChunks for several masters in ONE fan-out: master j's parts are
+  /// exactly SampleChunks(count, masters[j])'s, and every master's parts
+  /// come back in (master, part) order. Threads pull parts across masters,
+  /// so no thread idles at a per-master barrier.
+  std::vector<Batch> SampleChunks(std::uint64_t count, std::span<Rng> masters);
+
   /// Streaming variant of SampleChunks: invokes `sink(std::span<const
-  /// NodeId>)` once per set, in the same deterministic worker order,
-  /// straight from the worker-local buffers. Statically dispatched — the
+  /// NodeId>)` once per set, in the same deterministic part order,
+  /// straight from the per-part buffers. Statically dispatched — the
   /// sink is a template parameter, not a std::function — so per-set calls
   /// inline into the consumer loop.
   template <typename Sink>
@@ -144,8 +158,9 @@ class ParallelRrBuilder {
 
  private:
   RrSampler& SamplerFor(int worker);
-  /// Worker-local chunks in worker order (the deterministic pre-merge form).
-  std::vector<Batch> SampleParts(std::uint64_t count, Rng& master,
+  /// The one fan-out: `count` sets per master, parts in (master, part)
+  /// order (the deterministic pre-merge form). See the file comment.
+  std::vector<Batch> SampleParts(std::uint64_t count, std::span<Rng> masters,
                                  bool keep_sets, bool keep_stats);
   Batch SampleImpl(std::uint64_t count, Rng& master, bool keep_sets,
                    bool keep_stats);

@@ -104,8 +104,9 @@ std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
   chunks_.push_back(std::move(nodes));
   const std::vector<NodeId>& chunk = chunks_.back();
   const std::size_t base = set_offsets_.back();
-  set_begin_.reserve(set_begin_.size() + num_sets);
-  set_offsets_.reserve(set_offsets_.size() + num_sets);
+  // No exact reserve here: one per adopted part would reallocate and copy
+  // both arrays every call. push_back grows them geometrically, and a
+  // caller adopting many parts Reserve()s once up front.
   for (std::size_t k = 0; k < num_sets; ++k) {
     set_begin_.push_back(chunk.data() + offsets[k]);
     set_offsets_.push_back(base + offsets[k + 1]);
@@ -122,6 +123,11 @@ std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
     }
   }
   return first;
+}
+
+void RrSetPool::Reserve(std::size_t num_sets) {
+  set_begin_.reserve(num_sets);
+  set_offsets_.reserve(num_sets + 1);
 }
 
 const CoverageTranspose& RrSetPool::EnsureTranspose(std::uint32_t up_to) const {
@@ -256,31 +262,32 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
       global_target > static_cast<std::uint64_t>(shard)
           ? (global_target - static_cast<std::uint64_t>(shard) + k64 - 1) / k64
           : 0;
-  span.Counter("chunks",
-               static_cast<double>(target_chunks - entry->chunks_sampled_));
+  // One independent substream per GLOBAL chunk index: chunk contents are
+  // a pure function of (seed, signature, chunk_sets, thread count, kernel)
+  // — never of how θ growth was split across EnsureSets calls, and never
+  // of the shard layout, so every K partitions the same global pool and
+  // K=1 reproduces it whole.
+  std::vector<Rng> masters;
+  masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
-    // One independent substream per GLOBAL chunk index: chunk contents are
-    // a pure function of (seed, signature, chunk_sets, thread count,
-    // kernel) — never of how θ growth was split across EnsureSets calls,
-    // and never of the shard layout, so every K partitions the same
-    // global pool and K=1 reproduces it whole.
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
-    Rng master(MixHash(entry->base_seed_, 0x2000 + c));
-    // Arena-direct top-up: adopt each worker's flattened buffer wholesale,
-    // in deterministic worker order (see the file comment) — set ids and
-    // contents match the legacy per-set AddSet loop bit for bit, without
-    // the merge-and-copy passes.
-    std::vector<ParallelRrBuilder::Batch> parts =
-        entry->builder_->SampleChunks(chunk, master);
-    std::uint64_t emitted = 0;
-    for (ParallelRrBuilder::Batch& part : parts) {
-      emitted += part.size();
-      result.max_traversal = std::max(result.max_traversal,
-                                      part.max_traversal);
-      entry->pool_.AdoptChunk(std::move(part.nodes), part.offsets);
-    }
-    TIRM_CHECK_EQ(emitted, chunk);
+    masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
   }
+  span.Counter("chunks", static_cast<double>(masters.size()));
+  // One fan-out for the whole top-up, then arena-direct adoption of every
+  // part's flattened buffer, in (chunk, part) order (see the file comment)
+  // — set ids and contents match the legacy per-set AddSet loop bit for
+  // bit, without the merge-and-copy passes.
+  std::vector<ParallelRrBuilder::Batch> parts =
+      entry->builder_->SampleChunks(chunk, masters);
+  entry->pool_.Reserve(entry->pool_.NumSets() + masters.size() * chunk);
+  std::uint64_t emitted = 0;
+  for (ParallelRrBuilder::Batch& part : parts) {
+    emitted += part.size();
+    result.max_traversal = std::max(result.max_traversal, part.max_traversal);
+    entry->pool_.AdoptChunk(std::move(part.nodes), part.offsets);
+  }
+  TIRM_CHECK_EQ(emitted, masters.size() * chunk);
   entry->chunks_sampled_ = target_chunks;
   result.sampled = entry->pool_.NumSets() - result.had_before;
   sampled_sets_.fetch_add(result.sampled, std::memory_order_relaxed);

@@ -26,13 +26,16 @@
 // (member spans are stable — the arena is chunked, never relocated — but
 // the per-set bookkeeping and the inverted index still grow).
 //
-// Arena-direct top-up. EnsureSets consumes ParallelRrBuilder::SampleChunks:
-// each worker's flattened node buffer is *adopted* by the pool wholesale
-// (RrSetPool::AdoptChunk — a move, no per-set copy), in deterministic
-// worker order, with the inverted index built batched over the adopted
-// chunk. Set ids, member order, and postings are byte-identical to the
-// legacy per-set append path (AddSet), which remains for single-set
-// producers like RunTim.
+// Arena-direct top-up. EnsureSets makes ONE ParallelRrBuilder fan-out per
+// top-up: every missing chunk's master stream goes into a single
+// SampleChunks call, whose threads pull (chunk, part) tasks until all are
+// done — no per-chunk thread spawn or barrier. Each part's flattened node
+// buffer is then *adopted* by the pool wholesale (RrSetPool::AdoptChunk —
+// a move, no per-set copy), in (chunk, part) order, with the inverted
+// index built batched over the adopted part. Set ids, member order, and
+// postings are byte-identical to sampling chunk by chunk and to the legacy
+// per-set append path (AddSet), which remains for single-set producers
+// like RunTim.
 //
 // Memory accounting is byte-accurate from container capacities (arena +
 // inverted index + bookkeeping), not process RSS — this is what the
@@ -103,6 +106,10 @@ class RrSetPool {
   /// the id of the first adopted set.
   std::uint32_t AdoptChunk(std::vector<NodeId>&& nodes,
                            std::span<const std::size_t> offsets);
+
+  /// Reserves the per-set bookkeeping for `num_sets` sets in total, so a
+  /// top-up that adopts many parts grows it once.
+  void Reserve(std::size_t num_sets);
 
   std::size_t NumSets() const { return set_offsets_.size() - 1; }
   NodeId num_nodes() const { return num_nodes_; }

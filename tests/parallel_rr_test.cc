@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "alloc/regret_evaluator.h"
@@ -101,6 +102,33 @@ TEST(ParallelRrBuilderTest, ReducedModesMatchSampleBatch) {
   });
   EXPECT_EQ(streamed, full.nodes);
   EXPECT_EQ(streamed_offsets, full.offsets);
+}
+
+// One fan-out over several masters returns, in master order, exactly the
+// parts that one SampleChunks call per master would — also for masters
+// below min_parallel_batch (one part each) that only reach the threshold
+// together.
+TEST(ParallelRrBuilderTest, MultiMasterChunksMatchOneCallPerMaster) {
+  Rng graph_rng(15);
+  Graph g = ErdosRenyiGraph(50, 250, graph_rng);
+  std::vector<float> probs(g.num_edges(), 0.25f);
+  for (const std::uint64_t count : {100u, 300u}) {
+    ParallelRrBuilder fused(g, probs, {.num_threads = 4});
+    ParallelRrBuilder single(g, probs, {.num_threads = 4});
+    std::vector<Rng> masters = {Rng(1), Rng(2), Rng(3)};
+    std::vector<Batch> expected;
+    for (Rng master : masters) {
+      for (Batch& part : single.SampleChunks(count, master)) {
+        expected.push_back(std::move(part));
+      }
+    }
+    const std::vector<Batch> parts = fused.SampleChunks(count, masters);
+    ASSERT_EQ(parts.size(), expected.size()) << "count=" << count;
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+      EXPECT_TRUE(BatchesEqual(parts[k], expected[k]))
+          << "count=" << count << " part=" << k;
+    }
+  }
 }
 
 TEST(ParallelRrBuilderTest, ThreadCountCappedByBatchSize) {

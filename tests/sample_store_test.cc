@@ -211,28 +211,33 @@ TEST_F(SampleStoreTest, KptCacheHitsOnRepeat) {
 
 // Concurrent top-ups — same entry and different entries — must be safe
 // (run under ThreadSanitizer in CI) and leave the same pools as a serial
-// reference store.
+// reference store. The store samples with 4 threads and chunks above
+// min_parallel_batch, so every top-up's own fan-out nests inside the
+// racing callers.
 TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
-  RrSampleStore store(&graph_, {.seed = 99, .chunk_sets = 64});
+  constexpr std::uint64_t kChunk = 512;
+  const RrSampleStore::Options options{
+      .seed = 99, .num_threads = 4, .chunk_sets = kChunk};
+  RrSampleStore store(&graph_, options);
   RrSampleStore::AdPool* shared = store.Acquire(77, probs_);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&store, shared, t, this] {
       // Same entry, racing targets...
-      store.EnsureSets(shared, 64 * (t + 1));
+      store.EnsureSets(shared, kChunk * (t + 1));
       // ...plus a per-thread entry created under the store lock.
       RrSampleStore::AdPool* own =
           store.Acquire(1000 + static_cast<std::uint64_t>(t), probs_);
-      store.EnsureSets(own, 128);
+      store.EnsureSets(own, 2 * kChunk);
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(shared->sets().NumSets(), 64u * 8);
+  EXPECT_EQ(shared->sets().NumSets(), kChunk * 8);
   EXPECT_EQ(store.NumEntries(), 9u);
 
-  RrSampleStore reference(&graph_, {.seed = 99, .chunk_sets = 64});
+  RrSampleStore reference(&graph_, options);
   RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
-  reference.EnsureSets(ref, 64 * 8);
+  reference.EnsureSets(ref, kChunk * 8);
   EXPECT_EQ(Materialize(shared->sets(), shared->sets().NumSets()),
             Materialize(ref->sets(), ref->sets().NumSets()));
 }
