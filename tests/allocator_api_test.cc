@@ -3,6 +3,7 @@
 // AdAllocEngine sweep reuse.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "api/ad_alloc_engine.h"
 #include "api/allocator_config.h"
 #include "api/allocator_registry.h"
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "datasets/dataset.h"
 
@@ -179,6 +181,75 @@ TEST(AllocatorGoldenTest, MyopicVariantsMatchFreeFunctions) {
             MyopicAllocate(inst).seeds);
   EXPECT_EQ(RunRegistered(SmallConfig("myopic+"), inst, kSeed).allocation.seeds,
             MyopicPlusAllocate(inst).seeds);
+}
+
+// FNV hash over what an allocation run decides: every ad's seed list in
+// order, the internal revenue estimates as raw doubles, and the
+// iteration count.
+std::uint64_t AllocationHash(const AllocationResult& result) {
+  std::uint64_t h = kFnvOffsetBasis;
+  const auto add = [&h](const auto& values) {
+    const std::uint64_t size = values.size();
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, values.data(), values.size() * sizeof(values[0]));
+  };
+  for (const std::vector<NodeId>& seeds : result.allocation.seeds) add(seeds);
+  add(result.estimated_revenue);
+  const std::uint64_t iterations = result.iterations;
+  h = HashBytes(h, &iterations, sizeof(iterations));
+  return FinalizeHash(h);
+}
+
+struct AllocationGolden {
+  const char* allocator;
+  std::uint64_t hash;
+};
+
+void ExpectAllocationGoldens(const BuiltInstance& built,
+                             std::initializer_list<AllocationGolden> goldens,
+                             bool ctp_aware = false) {
+  const ProblemInstance inst = built.MakeInstance(1, 0.1);
+  for (const AllocationGolden& golden : goldens) {
+    AllocatorConfig config;
+    config.allocator = golden.allocator;
+    config.eps = 0.3;
+    config.theta_cap = 1 << 14;
+    config.mc_sims = 200;
+    config.ctp_aware_coverage = ctp_aware;
+    const std::uint64_t hash =
+        AllocationHash(RunRegistered(config, inst, /*seed=*/99));
+    EXPECT_EQ(hash, golden.hash)
+        << golden.allocator << " hash=0x" << std::hex << hash;
+  }
+}
+
+// Recorded allocation goldens. The equivalence tests above compare two
+// entry points of the same code; these values were recorded once, so any
+// change to a selection, a revenue estimate or an iteration count of the
+// coverage data path fails here.
+TEST(AllocationHashGoldenTest, AllFiveAllocatorsOnFigure1) {
+  ExpectAllocationGoldens(BuildFigure1Instance(),
+                          {{"tirm", 0x5c6b8da2a634541fULL},
+                           {"greedy-mc", 0xb856f7e7c1f24e6cULL},
+                           {"greedy-irie", 0xa437847d68568d9fULL},
+                           {"myopic", 0xd510a6cd90af1f0cULL},
+                           {"myopic+", 0x56cc12f3e8e467aaULL}});
+}
+
+TEST(AllocationHashGoldenTest, SamplingAllocatorsOnFlixsterLike) {
+  Rng rng(2015);
+  const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
+  ExpectAllocationGoldens(built, {{"tirm", 0x068d7e288efc10ecULL},
+                                  {"myopic", 0x2625f1a87816188bULL},
+                                  {"myopic+", 0x6b078214440db469ULL},
+                                  {"greedy-irie", 0x157dd74f8e816c8dULL}});
+}
+
+TEST(AllocationHashGoldenTest, CtpAwareTirmOnFlixsterLike) {
+  Rng rng(2015);
+  const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
+  ExpectAllocationGoldens(built, {{"tirm", 0x5fe90e5e22ed5ebaULL}},
+                          /*ctp_aware=*/true);
 }
 
 // ------------------------------------------------------------------ config
