@@ -3,9 +3,9 @@
 //
 // A TraceSpan is an RAII scope marker. Instrumented code creates one per
 // pipeline stage (KPT estimation, θ refinement, RR sampling batches, store
-// top-ups, transpose builds, greedy selection rounds, regret evaluation,
-// serve queue/run phases) and optionally annotates it with numeric
-// counters (sets sampled, θ, heap pops, arena bytes):
+// top-ups, greedy selection rounds, regret evaluation, serve queue/run
+// phases) and optionally annotates it with numeric counters (sets sampled,
+// θ, heap pops, arena bytes):
 //
 //   obs::TraceSpan span("store_top_up");
 //   ...

@@ -1,24 +1,20 @@
 #include "rrset/rr_collection.h"
 
 #include <algorithm>
-#include <bit>
 
 namespace tirm {
 
-RrCollection::RrCollection(NodeId num_nodes, CoverageKernel kernel)
+RrCollection::RrCollection(NodeId num_nodes)
     : owned_(std::make_unique<RrSetPool>(num_nodes)),
       pool_(owned_.get()),
-      kernel_(ResolveCoverageKernel(kernel)),
       num_nodes_(num_nodes) {
-  if (kernel_ == CoverageKernel::kScalar) coverage_.assign(num_nodes, 0);
+  coverage_.assign(num_nodes, 0);
 }
 
-RrCollection::RrCollection(const RrSetPool* pool, CoverageKernel kernel)
-    : pool_(pool),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
+RrCollection::RrCollection(const RrSetPool* pool)
+    : pool_(pool), num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
-  if (kernel_ == CoverageKernel::kScalar) coverage_.assign(num_nodes_, 0);
+  coverage_.assign(num_nodes_, 0);
 }
 
 std::uint32_t RrCollection::AddSet(std::span<const NodeId> nodes) {
@@ -33,18 +29,13 @@ void RrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_LE(count, pool_->NumSets());
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
-  if (kernel_ == CoverageKernel::kScalar) {
-    for (std::uint32_t id = attached_; id < count; ++id) {
-      for (const NodeId v : pool_->SetMembers(id)) {
-        TIRM_DCHECK(v < coverage_.size());
-        ++coverage_[v];
-      }
+  for (std::uint32_t id = attached_; id < count; ++id) {
+    for (const NodeId v : pool_->SetMembers(id)) {
+      TIRM_DCHECK(v < coverage_.size());
+      ++coverage_[v];
     }
-    covered_.resize(count, 0);
-  } else {
-    transpose_ = &pool_->EnsureTranspose(count);
-    covered_words_.resize(CoverageWordsFor(count), 0);
   }
+  covered_.resize(count, 0);
   attached_ = count;
 }
 
@@ -54,7 +45,6 @@ std::uint32_t RrCollection::CommitSeed(NodeId v) {
 
 std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
                                               std::uint32_t first_set) {
-  if (kernel_ != CoverageKernel::kScalar) return BitmapCommitRange(v, first_set);
   TIRM_CHECK_LT(v, coverage_.size());
   std::uint32_t newly_covered = 0;
   for (const std::uint32_t id : pool_->Postings(v)) {
@@ -71,82 +61,14 @@ std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
   return newly_covered;
 }
 
-std::uint32_t RrCollection::BitmapCoverageOf(NodeId v) const {
-  if (attached_ == 0) return 0;
-  const std::uint64_t* row = transpose_->Row(v);
-  const std::uint64_t* cov = covered_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
-  // Row lanes at or beyond attached_ may be set (the shared transpose can be
-  // built further by another view), so a partial last word is masked.
-  const std::size_t bulk = tail_mask == ~std::uint64_t{0} ? words : words - 1;
-  std::uint64_t count = 0;
-  if (bulk > 0) count = ActiveCoverageOps().andnot_popcount(row, cov, bulk);
-  if (bulk < words) {
-    count += static_cast<std::uint64_t>(
-        std::popcount(row[words - 1] & ~cov[words - 1] & tail_mask));
-  }
-  return static_cast<std::uint32_t>(count);
-}
-
-std::uint32_t RrCollection::BitmapCommitRange(NodeId v,
-                                              std::uint32_t first_set) {
-  TIRM_DCHECK(v < num_nodes_);
-  if (first_set >= attached_) return 0;
-  const std::uint64_t* row = transpose_->Row(v);
-  std::uint64_t* cov = covered_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
-  std::uint64_t newly = 0;
-
-  // OR in only lane-masked fresh bits so covered_words_ never acquires bits
-  // for sets outside [first_set, attached_).
-  const auto commit_masked = [&](std::size_t w, std::uint64_t lane_mask) {
-    const std::uint64_t fresh = row[w] & ~cov[w] & lane_mask;
-    newly += static_cast<std::uint64_t>(std::popcount(fresh));
-    cov[w] |= fresh;
-  };
-
-  std::size_t bulk_begin = 0;
-  if (first_set > 0) {
-    const std::size_t head_word = first_set / kCoverageWordBits;
-    const std::uint64_t rem = first_set % kCoverageWordBits;
-    std::uint64_t head_mask =
-        rem == 0 ? ~std::uint64_t{0} : ~((std::uint64_t{1} << rem) - 1);
-    if (head_word == words - 1) head_mask &= tail_mask;
-    commit_masked(head_word, head_mask);
-    bulk_begin = head_word + 1;
-  }
-  const std::size_t bulk_end =
-      tail_mask == ~std::uint64_t{0} ? words : words - 1;
-  if (bulk_begin < bulk_end) {
-    newly += ActiveCoverageOps().commit_or(row + bulk_begin, cov + bulk_begin,
-                                           bulk_end - bulk_begin);
-  }
-  if (bulk_end < words && bulk_begin < words) {
-    commit_masked(words - 1, tail_mask);
-  }
-  num_covered_ += newly;
-  return static_cast<std::uint32_t>(newly);
-}
-
 void RrCollection::AccumulateCoverage(
     std::vector<std::uint32_t>& counts) const {
-  if (kernel_ == CoverageKernel::kScalar) {
-    counts.assign(coverage_.begin(), coverage_.end());
-    return;
-  }
-  counts.assign(num_nodes_, 0);
-  for (std::uint32_t id = 0; id < attached_; ++id) {
-    if (IsCovered(id)) continue;
-    for (const NodeId member : pool_->SetMembers(id)) ++counts[member];
-  }
+  counts.assign(coverage_.begin(), coverage_.end());
 }
 
 std::size_t RrCollection::MemoryBytes() const {
-  std::size_t bytes = covered_.capacity() +
-                      coverage_.capacity() * sizeof(std::uint32_t) +
-                      covered_words_.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes =
+      covered_.capacity() + coverage_.capacity() * sizeof(std::uint32_t);
   if (owned_ != nullptr) bytes += owned_->MemoryBytes();
   return bytes;
 }

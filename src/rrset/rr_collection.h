@@ -12,21 +12,11 @@
 // CommitSeedOnRange() lets existing seeds absorb freshly attached sets in
 // selection order (UpdateEstimates, Algorithm 4).
 //
-// Two interchangeable coverage kernels (rrset/coverage_bitmap.h) back the
-// view, selected at construction and golden-gated bit-identical:
-//
-//  * CoverageKernel::kBitmap (default via kAuto) — the packed word-parallel
-//    path: membership is one bit per attached set in the pool's lazily
-//    built node -> set-bitmap transpose, covered state is a second bitmap,
-//    and the two hot operations are word-wise AND-NOT + popcount (recount)
-//    and OR (commit), with an AVX2 tier dispatched at runtime.
-//  * CoverageKernel::kScalar — the postings-scan reference implementation:
-//    per-node marginal counters maintained incrementally by walking the
-//    inverted index and set members on commit. Selectable via
-//    --coverage_kernel=scalar for audits and A/B gating.
-//
-// Both kernels produce the same exact integer coverages, so selections are
-// bit-identical; tests/coverage_kernel_test.cc enforces it end-to-end.
+// The view keeps one marginal counter per node and one covered flag per
+// attached set. Attaching a set increments its members' counters; a commit
+// walks the seed's postings in the pool's inverted index, flags each
+// uncovered set, and decrements that set's members. CoverageOf is then a
+// single counter load.
 //
 // For standalone use (tests, plain TIM) the owning constructor creates a
 // private pool, and AddSet() appends + attaches in one step — the
@@ -43,7 +33,6 @@
 
 #include "common/check.h"
 #include "common/types.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 
 namespace tirm {
@@ -52,13 +41,11 @@ namespace tirm {
 class RrCollection {
  public:
   /// Owning mode: creates a private pool; populate via AddSet().
-  explicit RrCollection(NodeId num_nodes,
-                        CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit RrCollection(NodeId num_nodes);
 
   /// View mode: borrows `pool` (not owned; must outlive the view). Starts
   /// with zero attached sets — call AttachUpTo() to expose a pool prefix.
-  explicit RrCollection(const RrSetPool* pool,
-                        CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit RrCollection(const RrSetPool* pool);
 
   /// Appends one set to the private pool and attaches it; returns its id.
   /// Owning mode only.
@@ -79,12 +66,10 @@ class RrCollection {
   std::size_t NumCovered() const { return num_covered_; }
 
   /// Current (marginal) coverage of `v`: #uncovered attached sets
-  /// containing v. Scalar kernel: one counter load. Bitmap kernel: a
-  /// word-parallel AND-NOT + popcount recount over the packed row.
+  /// containing v.
   std::uint32_t CoverageOf(NodeId v) const {
     TIRM_DCHECK(v < num_nodes_);
-    if (kernel_ == CoverageKernel::kScalar) return coverage_[v];
-    return BitmapCoverageOf(v);
+    return coverage_[v];
   }
 
   /// Marks every uncovered attached set containing `v` as covered; returns
@@ -104,10 +89,7 @@ class RrCollection {
 
   bool IsCovered(std::uint32_t id) const {
     TIRM_DCHECK(id < attached_);
-    if (kernel_ == CoverageKernel::kScalar) return covered_[id] != 0;
-    return (covered_words_[id / kCoverageWordBits] >>
-            (id % kCoverageWordBits)) &
-           1u;
+    return covered_[id] != 0;
   }
 
   /// Node with maximum current coverage among those for which
@@ -127,45 +109,26 @@ class RrCollection {
     return best;
   }
 
-  /// Fills `counts[v]` with CoverageOf(v) for every node in one O(arena)
-  /// pass (scalar: copies the counters; bitmap: accumulates members of
-  /// uncovered sets instead of popcount-recounting each node). Exact same
-  /// integers as per-node CoverageOf — used by CoverageHeap::Rebuild.
+  /// Fills `counts[v]` with CoverageOf(v) for every node (a copy of the
+  /// counters) — used by CoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<std::uint32_t>& counts) const;
 
-  /// Bytes held by this view's bookkeeping (scalar: coverage counters +
-  /// covered flags; bitmap: the covered bitmap words), plus the private
-  /// pool in owning mode. A borrowed pool (including its shared transpose)
-  /// is accounted once via pool()->MemoryBytes().
+  /// Bytes held by this view's bookkeeping (coverage counters + covered
+  /// flags), plus the private pool in owning mode. A borrowed pool is
+  /// accounted once via pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
-
-  /// The kernel this view runs on (resolved; never kAuto).
-  CoverageKernel kernel() const { return kernel_; }
 
   /// The pool this view reads (private one in owning mode).
   const RrSetPool* pool() const { return pool_; }
 
  private:
-  std::uint32_t BitmapCoverageOf(NodeId v) const;
-  std::uint32_t BitmapCommitRange(NodeId v, std::uint32_t first_set);
-
   std::unique_ptr<RrSetPool> owned_;  // null in view mode
   const RrSetPool* pool_;
-  CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
   std::uint32_t attached_ = 0;
   std::size_t num_covered_ = 0;
-
-  // Scalar kernel state.
   std::vector<std::uint8_t> covered_;    // per attached set
   std::vector<std::uint32_t> coverage_;  // per node, marginal
-
-  // Bitmap kernel state. The transpose pointer is refreshed on every
-  // attach (the pool's transpose object is stable; its rows may re-stride
-  // when *some* view attaches further, which is why Row() is re-read per
-  // operation rather than cached).
-  const CoverageTranspose* transpose_ = nullptr;
-  CoverageWordBuffer covered_words_;  // one bit per attached set
 };
 
 /// Lazy max-heap over node coverages (CELF-style). Valid while coverage

@@ -6,7 +6,6 @@
 #include "common/hashing.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/parallel_rr_builder.h"
 #include "topic/edge_probabilities.h"
 #include "topic/instance.h"
@@ -56,8 +55,6 @@ RrSetPool::RrSetPool(NodeId num_nodes)
   set_offsets_.push_back(0);
   index_.resize(num_nodes);
 }
-
-RrSetPool::~RrSetPool() = default;
 
 std::uint32_t RrSetPool::AddSet(std::span<const NodeId> nodes) {
   const auto id = static_cast<std::uint32_t>(NumSets());
@@ -130,22 +127,6 @@ void RrSetPool::Reserve(std::size_t num_sets) {
   set_offsets_.reserve(num_sets + 1);
 }
 
-const CoverageTranspose& RrSetPool::EnsureTranspose(std::uint32_t up_to) const {
-  MutexLock lock(transpose_mutex_);
-  obs::TraceSpan span("transpose_build");
-  span.Counter("up_to", static_cast<double>(up_to));
-  if (transpose_ == nullptr) {
-    transpose_ = std::make_unique<CoverageTranspose>(num_nodes_);
-  }
-  transpose_->ExtendFromPool(*this, up_to);
-  return *transpose_;
-}
-
-std::size_t RrSetPool::TransposeBytes() const {
-  MutexLock lock(transpose_mutex_);
-  return transpose_ == nullptr ? 0 : transpose_->MemoryBytes();
-}
-
 std::size_t RrSetPool::MemoryBytes() const {
   std::size_t bytes = set_offsets_.capacity() * sizeof(std::size_t) +
                       set_begin_.capacity() * sizeof(const NodeId*) +
@@ -157,7 +138,7 @@ std::size_t RrSetPool::MemoryBytes() const {
   for (const auto& postings : index_) {
     bytes += postings.capacity() * sizeof(std::uint32_t);
   }
-  return bytes + TransposeBytes();
+  return bytes;
 }
 
 // -------------------------------------------------------------- RrSampleStore

@@ -62,7 +62,6 @@
 
 namespace tirm {
 
-class CoverageTranspose;  // rrset/coverage_bitmap.h
 class ParallelRrBuilder;  // rrset/parallel_rr_builder.h
 class ProblemInstance;    // topic/instance.h
 
@@ -87,13 +86,10 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 /// Append-only flattened storage of RR sets plus the node -> set-id
 /// inverted index. Sets already appended are immutable; coverage views
 /// (RrCollection / WeightedRrCollection) borrow member spans and postings
-/// from here instead of copying nodes. Bitmap-kernel views additionally
-/// borrow the packed node -> set-bitmap transpose, built lazily on first
-/// use (EnsureTranspose) so scalar-only consumers never pay for it.
+/// from here instead of copying nodes.
 class RrSetPool {
  public:
   explicit RrSetPool(NodeId num_nodes);
-  ~RrSetPool();
 
   /// Appends one set; returns its id (ids are dense, in append order).
   std::uint32_t AddSet(std::span<const NodeId> nodes);
@@ -127,21 +123,9 @@ class RrSetPool {
     return index_[v];
   }
 
-  /// Packed node -> set-bitmap transpose covering at least the first
-  /// `up_to` sets, built/extended lazily on first call (concurrent calls
-  /// serialize on an internal mutex). Reading the returned transpose while
-  /// a *later* EnsureTranspose extends it follows the same discipline as
-  /// the arena: don't read while another thread may be growing the pool.
-  const CoverageTranspose& EnsureTranspose(std::uint32_t up_to) const
-      TIRM_EXCLUDES(transpose_mutex_);
-
-  /// Bytes of the lazily built transpose (0 until first EnsureTranspose);
-  /// included in MemoryBytes().
-  std::size_t TransposeBytes() const TIRM_EXCLUDES(transpose_mutex_);
-
-  /// Exact bytes held (arena + inverted index + transpose + bookkeeping),
-  /// from container capacities.
-  std::size_t MemoryBytes() const TIRM_EXCLUDES(transpose_mutex_);
+  /// Exact bytes held (arena + inverted index + bookkeeping), from
+  /// container capacities.
+  std::size_t MemoryBytes() const;
 
  private:
   NodeId num_nodes_;
@@ -160,11 +144,6 @@ class RrSetPool {
   std::size_t open_capacity_ = 0;     // spare reserved nodes in chunks_.back()
   std::size_t next_chunk_nodes_ = 0;  // geometric open-chunk sizing
   std::vector<std::vector<std::uint32_t>> index_;  // node -> set ids
-  // Lazy packed transpose for the bitmap coverage kernel — logically const
-  // derived state, hence buildable through const accessors.
-  mutable Mutex transpose_mutex_;
-  mutable std::unique_ptr<CoverageTranspose> transpose_
-      TIRM_GUARDED_BY(transpose_mutex_);
 };
 
 /// Sample-reuse diagnostics of one allocator run (surfaced through

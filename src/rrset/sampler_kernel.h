@@ -1,5 +1,4 @@
-// Sampler-kernel policy for RR/RRC-set generation — the sampling-side
-// sibling of the coverage-kernel switch (rrset/coverage_bitmap.h).
+// Sampler-kernel policy for RR/RRC-set generation.
 //
 // RR-set generation flips one Bernoulli coin per in-edge touched by the
 // reverse BFS (§5.1). When a node's in-edge probability row is *uniform*
@@ -56,10 +55,10 @@ Result<SamplerKernel> ParseSamplerKernel(std::string_view name);
 /// Canonical flag spelling of `kernel`.
 const char* SamplerKernelName(SamplerKernel kernel);
 
-/// Resolves kAuto to the concrete default. Unlike the coverage kernel, the
-/// default is the *classic* path: skip consumes the random stream
-/// differently, so keeping auto == classic preserves the repo-wide
-/// bit-identical determinism contract; skip is an explicit opt-in.
+/// Resolves kAuto to the concrete default, the *classic* path: skip
+/// consumes the random stream differently, so keeping auto == classic
+/// preserves the repo-wide bit-identical determinism contract; skip is an
+/// explicit opt-in.
 inline SamplerKernel ResolveSamplerKernel(SamplerKernel kernel) {
   return kernel == SamplerKernel::kAuto ? SamplerKernel::kClassic : kernel;
 }

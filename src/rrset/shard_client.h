@@ -5,7 +5,7 @@
 // coordinator never touches shard pools directly; it drives K of these
 // clients:
 //
-//   BeginRun      — per-run handshake (store parameters + coverage kernel)
+//   BeginRun      — per-run handshake (store parameters + KPT knobs)
 //   EnsureSets    — grow the shard's owned chunks toward a GLOBAL θ
 //   Attach        — expose a global pool prefix to the shard's view
 //   KptEstimate   — KPT*(s) from shard 0's width cache (every shard derives
@@ -37,14 +37,15 @@
 #ifndef TIRM_RRSET_SHARD_CLIENT_H_
 #define TIRM_RRSET_SHARD_CLIENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/kpt_estimator.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
@@ -54,10 +55,89 @@ namespace tirm {
 
 class ProblemInstance;  // topic/instance.h
 
+// ------------------------------------------------------------ word helpers
+
+/// Covered-set bitmaps (CoveredWordDelta, the coordinator's global covered
+/// view) pack one set per bit in 64-bit words.
+inline constexpr std::size_t kCoverageWordBits = 64;
+
+/// Words needed to hold `sets` one-bit lanes.
+inline constexpr std::size_t CoverageWordsFor(std::uint64_t sets) {
+  return static_cast<std::size_t>((sets + kCoverageWordBits - 1) /
+                                  kCoverageWordBits);
+}
+
+// --------------------------------------------------- shard gain summaries
+//
+// The distributed greedy round (GreeDIMM shape, alloc/tirm.cc): each shard
+// summarizes its CELF heap as a top-L candidate list plus a bound on what
+// it did not list; a coordinator tree-reduces the K summaries, fetches the
+// few exact counts the reduction is missing, and either proves the global
+// argmax (every sum is an exact integer, so the proof is exact and the
+// selection bit-identical to a single global heap) or asks for a larger L.
+
+/// One candidate of a shard's marginal-gain summary: a node and its exact
+/// local marginal coverage (uncovered attached sets containing it).
+struct ShardGainCandidate {
+  NodeId node = 0;
+  std::uint32_t coverage = 0;
+};
+
+/// Compact per-shard contribution to one distributed greedy round.
+struct ShardGainSummary {
+  int shard = 0;
+  /// Top eligible candidates in the shard's CELF pop order: non-increasing
+  /// coverage, ties by ascending node id. Coverages are exact local
+  /// marginals at summary time.
+  std::vector<ShardGainCandidate> top;
+  /// Upper bound on the local coverage of any eligible node NOT in `top`:
+  /// the last popped value, or 0 when the shard's heap ran dry (no
+  /// unlisted node covers anything on this shard).
+  std::uint32_t unlisted_bound = 0;
+  std::uint64_t covered_sets = 0;   ///< shard-local covered-set count
+  std::uint64_t attached_sets = 0;  ///< shard-local attached prefix
+};
+
+/// Tree-reduced merge of up to 64 shard summaries. Candidates are the
+/// union of the per-shard top lists; `partial` sums the coverages of the
+/// shards that listed the node and `shard_mask` records which ones
+/// (bit k = shard k), so the coordinator can fetch only the missing exact
+/// counts before picking the argmax. `unlisted_bound` sums the per-shard
+/// bounds: no node absent from EVERY list can reach a total above it.
+struct ReducedGainSummary {
+  struct Candidate {
+    NodeId node = 0;
+    std::uint64_t partial = 0;
+    std::uint64_t shard_mask = 0;
+  };
+  std::vector<Candidate> candidates;  ///< ascending node id
+  std::uint64_t unlisted_bound = 0;
+  std::uint64_t covered_sets = 0;   ///< Σ shard covered counts
+  std::uint64_t attached_sets = 0;  ///< Σ shard attached prefixes
+};
+
+/// Pairwise binary-tree reduction of shard summaries. All merges are
+/// associative integer sums / sorted unions, so the result is
+/// deterministic and independent of tree shape; shard indices must be
+/// distinct and < 64.
+ReducedGainSummary TreeReduceGainSummaries(
+    std::span<const ShardGainSummary> parts);
+
+/// Packed covered-set delta of one seed commit on one shard: the sets the
+/// commit newly covered as 64-bit words (shard-LOCAL set-id space,
+/// ascending word index, each word holding only the newly covered sets)
+/// plus their count. The coordinator replays deltas into its
+/// global covered view, which keeps the reduction's covered-mass
+/// bookkeeping exact without shipping whole bitmaps.
+struct CoveredWordDelta {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> words;
+  std::uint64_t newly_covered = 0;
+};
+
 /// Per-run handshake. Everything a shard needs that is not derivable from
 /// its bundle/graph: the store identity (seed, threads, chunking, sampler
 /// kernel — all of which the pool contents are a pure function of) and the
-/// run's coverage/KPT knobs. A local client validates these against its
+/// run's KPT knobs. A local client validates these against its
 /// store; a remote client ships them to the worker, which creates or
 /// reuses a matching shard store.
 struct ShardRunConfig {
@@ -66,7 +146,6 @@ struct ShardRunConfig {
   int num_threads = 1;  ///< resolved sampling workers (never 0)
   std::uint64_t chunk_sets = 4096;
   SamplerKernel sampler_kernel = SamplerKernel::kAuto;
-  CoverageKernel coverage_kernel = CoverageKernel::kAuto;
   double kpt_ell = 1.0;
   std::uint64_t kpt_max_samples = 1 << 17;
 };
@@ -108,7 +187,7 @@ class RrShardClient {
   [[nodiscard]] virtual Status Attach(AdId ad, std::uint64_t global_count) = 0;
 
   /// Top-`top_l` marginal-gain summary of the ad's eligible nodes (see
-  /// coverage_bitmap.h). Does not mutate coverage state.
+  /// ShardGainSummary). Does not mutate coverage state.
   [[nodiscard]] virtual Result<ShardGainSummary> Summarize(
       AdId ad, std::uint32_t top_l) = 0;
 

@@ -1,21 +1,14 @@
 #include "rrset/weighted_rr_collection.h"
 
-#include <bit>
-
 namespace tirm {
 
-WeightedRrCollection::WeightedRrCollection(NodeId num_nodes,
-                                           CoverageKernel kernel)
+WeightedRrCollection::WeightedRrCollection(NodeId num_nodes)
     : owned_(std::make_unique<RrSetPool>(num_nodes)),
       pool_(owned_.get()),
-      kernel_(ResolveCoverageKernel(kernel)),
       num_nodes_(num_nodes) {}
 
-WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool,
-                                           CoverageKernel kernel)
-    : pool_(pool),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
+WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool)
+    : pool_(pool), num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
 }
 
@@ -32,42 +25,17 @@ void WeightedRrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
   survival_.resize(count, 1.0f);
-  if (kernel_ != CoverageKernel::kScalar) {
-    transpose_ = &pool_->EnsureTranspose(count);
-    dead_words_.resize(CoverageWordsFor(count), 0);
-  }
   attached_ = count;
 }
 
 double WeightedRrCollection::CoverageOf(NodeId v) const {
   TIRM_DCHECK(v < num_nodes_);
-  if (kernel_ != CoverageKernel::kScalar) return BitmapCoverageOf(v);
   double cov = 0.0;
   for (const std::uint32_t id : pool_->Postings(v)) {
     if (id >= attached_) break;  // postings ascend; rest not attached yet
     // Dead sets hold exactly 0.0f, an exact no-op to add — which is what
-    // keeps this sum bit-identical to the bitmap gather that skips them.
+    // keeps this sum bit-identical to AccumulateCoverage, which skips them.
     cov += static_cast<double>(survival_[id]);
-  }
-  return cov;
-}
-
-double WeightedRrCollection::BitmapCoverageOf(NodeId v) const {
-  if (attached_ == 0) return 0.0;
-  const std::uint64_t* row = transpose_->Row(v);
-  const std::uint64_t* dead = dead_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
-  double cov = 0.0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t lanes = row[w] & ~dead[w];
-    if (w == words - 1) lanes &= tail_mask;
-    while (lanes != 0) {
-      const int bit = std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      cov += static_cast<double>(
-          survival_[w * kCoverageWordBits + static_cast<std::size_t>(bit)]);
-    }
   }
   return cov;
 }
@@ -80,9 +48,6 @@ double WeightedRrCollection::CommitSeedOnRange(NodeId v, double accept_prob,
                                                std::uint32_t first_set) {
   TIRM_CHECK_LT(v, num_nodes_);
   TIRM_CHECK(accept_prob >= 0.0 && accept_prob <= 1.0);
-  if (kernel_ != CoverageKernel::kScalar) {
-    return BitmapCommitRange(v, accept_prob, first_set);
-  }
   double covered_before = 0.0;
   for (const std::uint32_t id : pool_->Postings(v)) {
     if (id >= attached_) break;  // postings ascend; rest not attached yet
@@ -99,44 +64,6 @@ double WeightedRrCollection::CommitSeedOnRange(NodeId v, double accept_prob,
   return covered_before;
 }
 
-double WeightedRrCollection::BitmapCommitRange(NodeId v, double accept_prob,
-                                               std::uint32_t first_set) {
-  if (first_set >= attached_) return 0.0;
-  const std::uint64_t* row = transpose_->Row(v);
-  std::uint64_t* dead = dead_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
-  const std::size_t first_word = first_set / kCoverageWordBits;
-  const std::uint64_t first_rem = first_set % kCoverageWordBits;
-  double covered_before = 0.0;
-  for (std::size_t w = first_word; w < words; ++w) {
-    std::uint64_t lanes = row[w] & ~dead[w];
-    if (w == first_word && first_rem != 0) {
-      lanes &= ~((std::uint64_t{1} << first_rem) - 1);
-    }
-    if (w == words - 1) lanes &= tail_mask;
-    while (lanes != 0) {
-      const int bit = std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      const std::size_t id =
-          w * kCoverageWordBits + static_cast<std::size_t>(bit);
-      const double s_old = survival_[id];
-      if (s_old <= 0.0) continue;  // underflowed-to-zero but unmarked lane
-      covered_before += s_old;
-      const double s_new = s_old * (1.0 - accept_prob);
-      const double delta = s_old - s_new;
-      if (delta <= 0.0) continue;
-      const float stored = static_cast<float>(s_new);
-      survival_[id] = stored;
-      covered_mass_ += delta;
-      if (stored == 0.0f) {
-        dead[w] |= std::uint64_t{1} << (id % kCoverageWordBits);
-      }
-    }
-  }
-  return covered_before;
-}
-
 void WeightedRrCollection::AccumulateCoverage(std::vector<double>& cov) const {
   cov.assign(num_nodes_, 0.0);
   for (std::uint32_t id = 0; id < attached_; ++id) {
@@ -147,8 +74,7 @@ void WeightedRrCollection::AccumulateCoverage(std::vector<double>& cov) const {
 }
 
 std::size_t WeightedRrCollection::MemoryBytes() const {
-  std::size_t bytes = survival_.capacity() * sizeof(float) +
-                      dead_words_.capacity() * sizeof(std::uint64_t);
+  std::size_t bytes = survival_.capacity() * sizeof(float);
   if (owned_ != nullptr) bytes += owned_->MemoryBytes();
   return bytes;
 }

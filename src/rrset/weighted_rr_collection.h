@@ -21,13 +21,9 @@
 // and inverted index are borrowed from an RrSetPool (rrset/sample_store.h)
 // — shared with every other consumer of the same samples — while survival
 // weights are per-view state. Marginal coverage is a deterministic *gather*
-// in ascending set order under both kernels (rrset/coverage_bitmap.h):
-// the scalar kernel walks the inverted-index postings, the bitmap kernel
-// walks the surviving lanes of Row(v) & ~dead — identical addition order
-// over identical values (a dead set contributes exactly 0.0, an exact
-// no-op), so the two kernels return bit-identical doubles and make
-// bit-identical selections. Commits discount survival in place — no
-// per-node scatter — so commit cost is O(postings(v)).
+// over v's inverted-index postings in ascending set order. Commits discount
+// survival in place — no per-node scatter — so commit cost is
+// O(postings(v)).
 //
 // The owning constructor keeps the standalone AddSet API for tests.
 
@@ -42,7 +38,6 @@
 
 #include "common/check.h"
 #include "common/types.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 
 namespace tirm {
@@ -51,12 +46,10 @@ namespace tirm {
 class WeightedRrCollection {
  public:
   /// Owning mode: creates a private pool; populate via AddSet().
-  explicit WeightedRrCollection(NodeId num_nodes,
-                                CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit WeightedRrCollection(NodeId num_nodes);
 
   /// View mode: borrows `pool` (not owned; must outlive the view).
-  explicit WeightedRrCollection(const RrSetPool* pool,
-                                CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit WeightedRrCollection(const RrSetPool* pool);
 
   /// Appends one set (survival 1) to the private pool and attaches it;
   /// returns its id. Owning mode only.
@@ -69,8 +62,7 @@ class WeightedRrCollection {
   NodeId num_nodes() const { return num_nodes_; }
 
   /// Weighted (marginal) coverage of `v`: Σ survival over attached sets
-  /// containing v, gathered fresh in ascending set order (bit-identical
-  /// across kernels; see file comment).
+  /// containing v, gathered fresh in ascending set order.
   double CoverageOf(NodeId v) const;
 
   /// Survival weight of attached set `id`.
@@ -114,40 +106,23 @@ class WeightedRrCollection {
   /// Fills `cov[v]` with CoverageOf(v) for every node in one O(arena) pass
   /// over the attached sets. Because sets are visited in ascending id order,
   /// each node's sum accumulates in exactly the gather order of CoverageOf,
-  /// so the doubles are bit-identical (and kernel-independent). Used by
-  /// WeightedCoverageHeap::Rebuild.
+  /// so the doubles are bit-identical. Used by WeightedCoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<double>& cov) const;
 
-  /// Bytes held by this view's bookkeeping — survival weights plus, under
-  /// the bitmap kernel, the dead-lane words — plus the private pool in
-  /// owning mode. A borrowed pool (including its shared transpose) is
-  /// accounted once via pool()->MemoryBytes().
+  /// Bytes held by this view's bookkeeping (survival weights), plus the
+  /// private pool in owning mode. A borrowed pool is accounted once via
+  /// pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
-
-  /// The kernel this view runs on (resolved; never kAuto).
-  CoverageKernel kernel() const { return kernel_; }
 
   const RrSetPool* pool() const { return pool_; }
 
  private:
-  double BitmapCoverageOf(NodeId v) const;
-  double BitmapCommitRange(NodeId v, double accept_prob,
-                           std::uint32_t first_set);
-
   std::unique_ptr<RrSetPool> owned_;  // null in view mode
   const RrSetPool* pool_;
-  CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
   std::uint32_t attached_ = 0;
   double covered_mass_ = 0.0;
   std::vector<float> survival_;  // per attached set
-
-  // Bitmap kernel state: lanes whose survival has hit exactly 0 (δ = 1
-  // commits — the paper's removal semantics) are marked dead so gathers
-  // skip them word-parallel; see rr_collection.h on why the transpose
-  // pointer is refreshed per attach.
-  const CoverageTranspose* transpose_ = nullptr;
-  CoverageWordBuffer dead_words_;
 };
 
 /// CELF-style lazy max-heap over weighted coverages, mirroring

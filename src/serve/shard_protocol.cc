@@ -151,7 +151,6 @@ std::string FormatBeginRequest(const ShardRunConfig& run, int shard_index,
   w.Field("num_threads", run.num_threads);
   w.Field("chunk_sets", run.chunk_sets);
   w.Field("sampler_kernel", SamplerKernelName(run.sampler_kernel));
-  w.Field("coverage_kernel", CoverageKernelName(run.coverage_kernel));
   w.Field("kpt_ell", run.kpt_ell);
   w.Field("kpt_max_samples", run.kpt_max_samples);
   w.Field("shard_index", shard_index);
@@ -292,9 +291,9 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   if (request.op == "begin") {
     static const std::set<std::string> kKeys = {
-        "op",          "num_ads",        "store_seed",      "num_threads",
-        "chunk_sets",  "sampler_kernel", "coverage_kernel", "kpt_ell",
-        "kpt_max_samples", "shard_index", "num_shards"};
+        "op",          "num_ads",         "store_seed",  "num_threads",
+        "chunk_sets",  "sampler_kernel",  "kpt_ell",     "kpt_max_samples",
+        "shard_index", "num_shards"};
     TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
     Result<std::int64_t> num_ads = RequireInt(root, "num_ads", 0, 1 << 20);
     if (!num_ads.ok()) return num_ads.status();
@@ -321,20 +320,6 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
       return FieldError("sampler_kernel", sampler_kernel.status());
     }
     request.run.sampler_kernel = *sampler_kernel;
-    const JsonValue* coverage = root.Find("coverage_kernel");
-    if (coverage == nullptr) {
-      return Status::InvalidArgument("missing field \"coverage_kernel\"");
-    }
-    Result<std::string> coverage_name = coverage->AsString();
-    if (!coverage_name.ok()) {
-      return FieldError("coverage_kernel", coverage_name.status());
-    }
-    Result<CoverageKernel> coverage_kernel =
-        ParseCoverageKernel(*coverage_name);
-    if (!coverage_kernel.ok()) {
-      return FieldError("coverage_kernel", coverage_kernel.status());
-    }
-    request.run.coverage_kernel = *coverage_kernel;
     const JsonValue* ell = root.Find("kpt_ell");
     if (ell == nullptr) {
       return Status::InvalidArgument("missing field \"kpt_ell\"");

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/hashing.h"
@@ -16,6 +19,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/theta.h"
+#include "tirm_test_util.h"
 #include "topic/ctp_model.h"
 
 namespace tirm {
@@ -378,6 +382,113 @@ TEST(CoverageHeapTest, RebuildAfterBatchAdd) {
   c.AddSet(std::vector<NodeId>{2});
   heap.Rebuild();
   EXPECT_EQ(heap.PopBest(all), 2u);
+}
+
+TEST(CoverageHeapTest, EqualCoveragesPopLowestNodeId) {
+  // Nodes 9, 4, and 7 each cover exactly two (disjoint) sets. The heap must
+  // pop them in id order — matching ArgMaxCoverage's first-maximum scan —
+  // not in whatever order make_heap left equal keys.
+  RrCollection c(12);
+  for (const NodeId v : {NodeId{9}, NodeId{4}, NodeId{7}}) {
+    const NodeId single[] = {v};
+    c.AddSet(single);
+    c.AddSet(single);
+  }
+  EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), 4u);
+
+  CoverageHeap heap(&c);
+  const NodeId first = heap.PopBest([](NodeId) { return true; });
+  EXPECT_EQ(first, 4u);
+  c.CommitSeed(first);
+  const NodeId second = heap.PopBest([](NodeId) { return true; });
+  EXPECT_EQ(second, 7u);
+  c.CommitSeed(second);
+  EXPECT_EQ(heap.PopBest([](NodeId) { return true; }), 9u);
+}
+
+TEST(CoverageHeapTest, TieBreakMatchesArgMaxOnRandomPool) {
+  Rng rng(5);
+  std::unique_ptr<RrSetPool> pool = RandomPool(40, 96, 3, rng);
+  RrCollection c(pool.get());
+  c.AttachUpTo(96);
+  CoverageHeap heap(&c);
+  for (int i = 0; i < 10; ++i) {
+    const NodeId by_scan = c.ArgMaxCoverage([](NodeId) { return true; });
+    const NodeId by_heap = heap.PopBest([](NodeId) { return true; });
+    ASSERT_EQ(by_heap, by_scan) << "iteration " << i;
+    if (by_heap == kInvalidNode) break;
+    c.CommitSeed(by_heap);
+  }
+}
+
+// By-definition recount of a view, from SetMembers and IsCovered only: the
+// number of uncovered attached sets containing each node.
+std::vector<std::uint32_t> RecountCoverage(const RrCollection& c) {
+  std::vector<std::uint32_t> counts(c.num_nodes(), 0);
+  for (std::uint32_t id = 0; id < c.NumSets(); ++id) {
+    if (c.IsCovered(id)) continue;
+    for (const NodeId v : c.SetMembers(id)) ++counts[v];
+  }
+  return counts;
+}
+
+// Uncovered attached sets with id >= `first_set` that contain `v`.
+std::vector<std::uint32_t> UncoveredSetsWith(const RrCollection& c, NodeId v,
+                                             std::uint32_t first_set) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = first_set; id < c.NumSets(); ++id) {
+    const std::span<const NodeId> members = c.SetMembers(id);
+    if (!c.IsCovered(id) &&
+        std::find(members.begin(), members.end(), v) != members.end()) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+// Commits `v` on [first_set, NumSets()) and checks the return value and the
+// covered flags against the by-definition set of sets it must cover.
+void CommitAndCheck(RrCollection& c, NodeId v, std::uint32_t first_set) {
+  const std::vector<std::uint32_t> expected =
+      UncoveredSetsWith(c, v, first_set);
+  const std::size_t covered_before = c.NumCovered();
+  ASSERT_EQ(c.CommitSeedOnRange(v, first_set), expected.size())
+      << "node " << v;
+  for (const std::uint32_t id : expected) EXPECT_TRUE(c.IsCovered(id));
+  EXPECT_EQ(c.NumCovered(), covered_before + expected.size());
+}
+
+TEST(RrCollectionTest, RandomizedCoverageMatchesRecountWithStagedAttaches) {
+  Rng rng(2015);
+  const NodeId n = 120;
+  // 300 sets attached in uneven stages, so commits see several attach
+  // watermarks.
+  std::unique_ptr<RrSetPool> pool = RandomPool(n, 300, 4, rng);
+  RrCollection c(pool.get());
+
+  std::uint32_t attached = 0;
+  for (const std::uint32_t stage : {63u, 64u, 130u, 257u, 300u}) {
+    c.AttachUpTo(stage);
+    // Attribute the new sets to two fixed "existing seeds" (Algorithm 4
+    // path), then commit a few random fresh seeds.
+    for (const NodeId seed : {NodeId{3}, NodeId{77}}) {
+      CommitAndCheck(c, seed, attached);
+    }
+    for (int k = 0; k < 5; ++k) {
+      CommitAndCheck(c, static_cast<NodeId>(rng.NextUInt64() % n), 0);
+    }
+    std::size_t covered = 0;
+    for (std::uint32_t id = 0; id < stage; ++id) covered += c.IsCovered(id);
+    EXPECT_EQ(c.NumCovered(), covered);
+    const std::vector<std::uint32_t> recount = RecountCoverage(c);
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(c.CoverageOf(v), recount[v]) << "node " << v;
+    }
+    const auto first_max = std::max_element(recount.begin(), recount.end());
+    EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }),
+              static_cast<NodeId>(first_max - recount.begin()));
+    attached = stage;
+  }
 }
 
 // ------------------------------------------------------------------ theta

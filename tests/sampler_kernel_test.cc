@@ -90,8 +90,8 @@ TEST(SamplerKernelParseTest, NamesRoundTripThroughParse) {
   }
 }
 
-// Unlike the coverage kernel (auto == bitmap), auto must resolve to the
-// classic golden reference — skip changes random-stream consumption.
+// Auto must resolve to the classic golden reference — skip changes
+// random-stream consumption.
 TEST(SamplerKernelParseTest, AutoResolvesToClassic) {
   EXPECT_EQ(ResolveSamplerKernel(SamplerKernel::kAuto),
             SamplerKernel::kClassic);

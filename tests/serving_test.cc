@@ -180,6 +180,7 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
            "[1,2,3]",                                  // not an object
            R"({"allocatr":"tirm"})",                   // unknown top key
            R"({"config":{"epss":0.1}})",               // unknown config key
+           R"({"config":{"coverage_kernel":"auto"}})", // removed config key
            R"({"query":{"kapa":1}})",                  // unknown query key
            R"({"query":{"kappa":0}})",                 // out of range
            R"({"query":{"lambda":"x"}})",              // malformed numeric

@@ -20,10 +20,10 @@
 #include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
 #include "rrset/sharded_store.h"
+#include "serve/shard_protocol.h"
 #include "serve/shard_remote.h"
 #include "serve/shard_worker.h"
 #include "topic/instance.h"
@@ -412,6 +412,37 @@ TEST(ShardProtocolTest, ShardIdentityMismatchFailsLoudly) {
   const Status begun = client.BeginRun(run);
   EXPECT_FALSE(begun.ok());
   EXPECT_EQ(begun.code(), StatusCode::kInvalidArgument);
+}
+
+// The begin message has a closed key set: a peer that sends a removed
+// field (coverage_kernel) or a misspelled one gets a typed error, and a
+// worker answers it in band instead of aborting.
+TEST(ShardProtocolTest, BeginRejectsUnknownKeys) {
+  ShardRunConfig run;
+  run.num_ads = 1;
+  run.store_seed = 7;
+  const std::string begin = serve::FormatBeginRequest(run, 0, 1);
+  ASSERT_TRUE(serve::ParseShardRequest(begin).ok()) << begin;
+
+  const BuiltInstance built = BuildFigure1Instance();
+  const ProblemInstance inst = built.MakeInstance(1, 0.0);
+  serve::ShardWorkerContext context(&inst, /*shard_index=*/0,
+                                    /*num_shards=*/1);
+  serve::ShardWorkerSession session(&context);
+  for (const char* extra :
+       {R"("coverage_kernel":"auto")", R"("num_threadz":1)"}) {
+    const std::string line =
+        begin.substr(0, begin.size() - 1) + "," + extra + "}";
+    Result<serve::ShardOpRequest> parsed = serve::ParseShardRequest(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find("unknown key"),
+              std::string::npos)
+        << parsed.status().ToString();
+    const std::string response = session.HandleLine(line);
+    EXPECT_NE(response.find(R"("ok":false)"), std::string::npos) << response;
+    EXPECT_NE(response.find("unknown key"), std::string::npos) << response;
+  }
 }
 
 }  // namespace

@@ -6,17 +6,20 @@
 // instance, runs TIRM with the same fast options, and applies the same
 // evaluator-based tolerance discipline: evaluate both allocations under an
 // IDENTICAL Monte-Carlo stream and compare ground-truth revenue / regret,
-// never the (legitimately different) seed picks themselves.
+// never the (legitimately different) seed picks themselves. The coverage
+// view tests share RandomPool, a pool of random sets with no graph.
 
 #ifndef TIRM_TESTS_TIRM_TEST_UTIL_H_
 #define TIRM_TESTS_TIRM_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "alloc/tirm.h"
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "rrset/sample_store.h"
 #include "topic/instance.h"
 
 namespace tirm {
@@ -63,6 +66,29 @@ inline TirmOptions FastOptions(int threads) {
   o.kpt_max_samples = 1 << 14;
   o.num_threads = threads;
   return o;
+}
+
+/// Random pool: `sets` sets over `nodes` nodes, ~`avg` distinct members
+/// each.
+inline std::unique_ptr<RrSetPool> RandomPool(NodeId nodes, std::uint32_t sets,
+                                             int avg, Rng& rng) {
+  auto pool = std::make_unique<RrSetPool>(nodes);
+  std::vector<NodeId> members;
+  std::vector<std::uint8_t> taken(nodes, 0);
+  for (std::uint32_t s = 0; s < sets; ++s) {
+    members.clear();
+    const int size = 1 + static_cast<int>(rng.NextUInt64() %
+                                          static_cast<std::uint64_t>(2 * avg));
+    for (int k = 0; k < size; ++k) {
+      const NodeId v = static_cast<NodeId>(rng.NextUInt64() % nodes);
+      if (taken[v]) continue;  // sets hold distinct members
+      taken[v] = 1;
+      members.push_back(v);
+    }
+    for (const NodeId v : members) taken[v] = 0;
+    pool->AddSet(members);
+  }
+  return pool;
 }
 
 }  // namespace tirm

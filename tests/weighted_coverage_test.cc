@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "alloc/regret_evaluator.h"
@@ -13,6 +17,7 @@
 #include "graph/generators.h"
 #include "rrset/rr_collection.h"
 #include "rrset/weighted_rr_collection.h"
+#include "tirm_test_util.h"
 
 namespace tirm {
 namespace {
@@ -108,6 +113,85 @@ TEST(WeightedRrCollectionTest, MemoryBytesGrow) {
   const auto before = c.MemoryBytes();
   for (int i = 0; i < 64; ++i) c.AddSet(std::vector<NodeId>{0, 1, 2});
   EXPECT_GT(c.MemoryBytes(), before);
+}
+
+// By-definition weighted coverage of a view, from the pool's SetMembers and
+// the view's Survival only. Each node's sum runs over the attached sets
+// containing it in ascending set order — the order CoverageOf gathers in —
+// so the doubles must match bit for bit.
+std::vector<double> RecountCoverage(const WeightedRrCollection& c) {
+  std::vector<double> cov(c.num_nodes(), 0.0);
+  for (std::uint32_t id = 0; id < c.NumSets(); ++id) {
+    for (const NodeId v : c.pool()->SetMembers(id)) cov[v] += c.Survival(id);
+  }
+  return cov;
+}
+
+// Commits `v` with CTP `delta` on [first_set, NumSets()) and checks the
+// returned pre-commit mass and every touched survival against the
+// by-definition discount s -> s * (1 - delta) of each live set containing
+// v. `expected_mass` accumulates the discounts in commit order.
+void CommitAndCheck(WeightedRrCollection& c, NodeId v, double delta,
+                    std::uint32_t first_set, double& expected_mass) {
+  double expected_before = 0.0;
+  std::vector<std::pair<std::uint32_t, float>> expected_survival;
+  for (std::uint32_t id = first_set; id < c.NumSets(); ++id) {
+    const std::span<const NodeId> members = c.pool()->SetMembers(id);
+    if (std::find(members.begin(), members.end(), v) == members.end()) {
+      continue;
+    }
+    const double s_old = c.Survival(id);
+    if (s_old <= 0.0) continue;
+    const double s_new = s_old * (1.0 - delta);
+    expected_before += s_old;
+    expected_mass += s_old - s_new;
+    expected_survival.emplace_back(id, static_cast<float>(s_new));
+  }
+  ASSERT_EQ(c.CommitSeedOnRange(v, delta, first_set), expected_before)
+      << "node " << v;
+  for (const auto& [id, survival] : expected_survival) {
+    EXPECT_EQ(c.Survival(id), survival) << "set " << id;
+  }
+}
+
+TEST(WeightedRrCollectionTest, RandomizedCoverageMatchesRecount) {
+  Rng rng(77);
+  const NodeId n = 90;
+  std::unique_ptr<RrSetPool> pool = RandomPool(n, 200, 4, rng);
+  WeightedRrCollection c(pool.get());
+
+  double expected_mass = 0.0;
+  std::uint32_t attached = 0;
+  for (const std::uint32_t stage : {65u, 128u, 200u}) {
+    c.AttachUpTo(stage);
+    for (const NodeId seed : {NodeId{1}, NodeId{42}}) {
+      CommitAndCheck(c, seed, 0.25, attached, expected_mass);
+    }
+    for (int k = 0; k < 6; ++k) {
+      const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
+      // Mix of fractional discounts and removal-style δ = 1 (dead sets).
+      const double delta = (k % 3 == 0) ? 1.0 : rng.NextDouble();
+      CommitAndCheck(c, v, delta, 0, expected_mass);
+    }
+    EXPECT_EQ(c.CoveredMass(), expected_mass);
+    // Covered mass is Σ (1 − survival); survivals are stored as floats,
+    // so the two sums agree to float rounding.
+    double mass = 0.0;
+    for (std::uint32_t id = 0; id < stage; ++id) mass += 1.0 - c.Survival(id);
+    EXPECT_NEAR(c.CoveredMass(), mass, 1e-4);
+    const std::vector<double> recount = RecountCoverage(c);
+    NodeId best = kInvalidNode;
+    double best_cov = 1e-12;  // ArgMaxCoverage's positivity threshold
+    for (NodeId v = 0; v < n; ++v) {
+      ASSERT_EQ(c.CoverageOf(v), recount[v]) << "node " << v;
+      if (recount[v] > best_cov) {
+        best = v;
+        best_cov = recount[v];
+      }
+    }
+    EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), best);
+    attached = stage;
+  }
 }
 
 // ------------------------------------------- TIRM with CTP-aware coverage
