@@ -17,11 +17,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "graph/edge_list_io.h"
-#include "graph/generators.h"
 #include "obs/trace.h"
 #include "rrset/sample_store.h"
-#include "rrset/sharded_store.h"
 
 namespace {
 
@@ -102,123 +99,6 @@ void RunThreadSweep(const BenchConfig& config,
                 TablePrinter::Num(result.TotalEstimatedRevenue(), 1)});
   }
   cmp.Print();
-}
-
-// ---- Sharded sampling plane: K = 1/2/4 shards on a `file:` SNAP-style
-// graph (an RMAT instance round-tripped through the SNAP edge-list ingest
-// path, so the sweep exercises exactly what a real snap.stanford.edu dump
-// would).
-//
-// Two measurements per K:
-//   * Sampling phase: each shard grows its pool to the same GLOBAL θ
-//     watermark, sampling only the global chunks it owns. Shards share no
-//     mutable state — in the router topology each one is a separate
-//     process — so the phase latency is the slowest shard
-//     (critical path), not the sum. Per-shard times here are measured
-//     sequentially on one host; "sampling_phase_speedup" is the
-//     single-store time over the critical path, and the sequential sum is
-//     recorded alongside so nothing is hidden.
-//   * End to end: full TIRM through the sharded coordinator, asserting the
-//     allocation stays bit-identical to the single-store run (the bench
-//     aborts on any divergence).
-void RunShardSweep(const BenchConfig& config, JsonValue* out) {
-  // Generate a SNAP-style edge list and ingest it via the "file:" path.
-  const std::string edge_path = "/tmp/bench_fig6_snap.edges";
-  {
-    Rng gen_rng(config.seed + 909);
-    const Graph generated = RMatGraph(14, 150000, gen_rng);  // 16384 nodes
-    const Status saved = SaveEdgeList(generated, edge_path);
-    TIRM_CHECK(saved.ok()) << saved.ToString();
-  }
-  Rng build_rng(config.seed + 910);
-  Result<BuiltInstance> built =
-      BuildNamedDataset("file:" + edge_path, config.scale, build_rng);
-  TIRM_CHECK(built.ok()) << built.status().ToString();
-  const ProblemInstance inst =
-      built->MakeInstance(/*kappa=*/1, /*lambda=*/0.0);
-  std::printf(
-      "\n--- sharded sampling plane: K = 1/2/4 shards (file: SNAP-style "
-      "graph, %u nodes, %zu arcs) ---\n",
-      built->graph->num_nodes(), built->graph->num_edges());
-
-  const std::uint64_t theta = 1u << 17;  // global watermark every K grows to
-  const std::vector<int> shard_counts = {1, 2, 4};
-  TablePrinter t({"K", "crit path (s)", "sum (s)", "sampling speedup",
-                  "tirm (s)", "wall speedup", "identical"});
-  JsonValue rows = JsonValue::Array();
-  double single_sampling_seconds = 0.0;
-  double single_tirm_seconds = 0.0;
-  std::vector<std::vector<NodeId>> baseline_seeds;
-  for (const int num_shards : shard_counts) {
-    // Sampling phase: same seed for every K, so the global chunk streams
-    // are identical and only the partition changes.
-    ShardedRrSampleStore store(
-        built->graph.get(),
-        {.seed = config.seed ^ 0xF1665EEDULL,
-         .num_threads = config.threads},
-        num_shards);
-    double critical_path = 0.0;
-    double sum_seconds = 0.0;
-    JsonValue shard_seconds = JsonValue::Array();
-    for (int k = 0; k < num_shards; ++k) {
-      RrSampleStore& shard = store.shard(k);
-      RrSampleStore::AdPool* pool = shard.Acquire(
-          shard.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
-      WallTimer timer;
-      shard.EnsureSets(pool, theta);
-      const double seconds = timer.Seconds();
-      critical_path = std::max(critical_path, seconds);
-      sum_seconds += seconds;
-      shard_seconds.Append(JsonValue::Number(seconds));
-    }
-    if (num_shards == 1) single_sampling_seconds = critical_path;
-    const double sampling_speedup = single_sampling_seconds / critical_path;
-
-    // End to end through the sharded coordinator.
-    AllocatorConfig algo_config = config.MakeAllocatorConfig("tirm");
-    algo_config.num_shards = num_shards;
-    const AllocationResult run =
-        RunConfigured(algo_config, inst, config.seed + 17);
-    if (num_shards == 1) {
-      single_tirm_seconds = run.seconds;
-      baseline_seeds = run.allocation.seeds;
-    }
-    const bool identical = run.allocation.seeds == baseline_seeds;
-    TIRM_CHECK(identical)
-        << "sharded allocation diverged from the single-store path at K="
-        << num_shards;
-    const double wall_speedup = single_tirm_seconds / run.seconds;
-
-    t.AddRow({TablePrinter::Int(num_shards),
-              TablePrinter::Num(critical_path, 3),
-              TablePrinter::Num(sum_seconds, 3),
-              TablePrinter::Num(sampling_speedup, 2),
-              TablePrinter::Num(run.seconds, 2),
-              TablePrinter::Num(wall_speedup, 2), identical ? "yes" : "NO"});
-    JsonValue row = JsonValue::Object();
-    row.Set("num_shards", JsonValue::Number(num_shards));
-    row.Set("shard_sampling_seconds", std::move(shard_seconds));
-    row.Set("sampling_critical_path_seconds",
-            JsonValue::Number(critical_path));
-    row.Set("sampling_sum_seconds", JsonValue::Number(sum_seconds));
-    row.Set("sampling_phase_speedup", JsonValue::Number(sampling_speedup));
-    row.Set("tirm_seconds", JsonValue::Number(run.seconds));
-    row.Set("tirm_wall_speedup", JsonValue::Number(wall_speedup));
-    row.Set("allocation_identical", JsonValue::Bool(identical));
-    rows.Append(std::move(row));
-  }
-  t.Print();
-  std::printf(
-      "(sampling speedup = single-store time / slowest shard; shards are\n"
-      " separate processes in the router topology, so the slowest shard is\n"
-      " the phase latency)\n");
-  std::remove(edge_path.c_str());
-
-  JsonValue section = JsonValue::Object();
-  section.Set("graph", JsonValue::String("file: rmat 16384-node SNAP-style"));
-  section.Set("theta", JsonValue::Number(static_cast<double>(theta)));
-  section.Set("rows", std::move(rows));
-  out->Set("shard_sweep", std::move(section));
 }
 
 void RunSweep(const char* title, const DatasetSpec& spec,
@@ -363,11 +243,6 @@ int main(int argc, char** argv) {
     thread_counts.push_back(t);
   }
   RunThreadSweep(config, thread_counts, &report.root());
-
-  // Sharded sampling plane (K = 1/2/4) on a `file:`-ingested SNAP-style
-  // graph — speedup rows plus a bit-identity assertion against the
-  // single-store path.
-  RunShardSweep(config, &report.root());
 
   // DBLP (paper: budgets 5K at 317K nodes; h sweep 1..20; budget sweep to
   // 30K). Scaled: budgets scale with the graph.

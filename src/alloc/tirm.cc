@@ -17,7 +17,6 @@
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
-#include "rrset/sharded_store.h"
 #include "rrset/weighted_rr_collection.h"
 
 namespace tirm {
@@ -140,8 +139,9 @@ class WeightedBackend : public CoverageBackend {
 };
 
 // Distributed coverage plane (the GreeDIMM shape): the ad's RR sets live
-// chunk-interleaved across K shard stores, each shard owning a private
-// coverage view and CELF heap behind an RrShardClient. BestNode replaces
+// chunk-interleaved across K shard stores — normally one per shard-worker
+// process behind the router — each shard owning a private coverage view
+// and CELF heap behind an RrShardClient. BestNode replaces
 // the global heap with a tree-reduced top-L summary protocol whose every
 // per-round sum is an exact integer, so the node it returns is the one the
 // single-store CoverageHeap would pop — bit-identical selections at any K.
@@ -355,70 +355,35 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   // with the same chunked sampling discipline makes this run bit-identical
   // to a store-backed one at the same seed and thread count.
   //
-  // Sharded mode (the GreeDIMM shape) replaces the single store with K
-  // shard clients — in-process LocalShardClients over a (shared or
-  // private) ShardedRrSampleStore, or caller-injected clients (the serving
-  // router's remote workers). Chunk-interleaved shard pools and the exact
-  // integer reduction protocol keep allocations bit-identical to K = 1.
-  const bool sharded = !options.shard_clients.empty() || options.num_shards > 1;
+  // Sharded mode (the GreeDIMM shape) replaces the single store with the
+  // caller's K shard clients — the serving router's remote workers, or
+  // LocalShardClients over shard-configured stores. Chunk-interleaved
+  // shard pools and the exact integer reduction protocol keep allocations
+  // bit-identical to the single-store run.
+  const std::vector<RrShardClient*>& clients = options.shard_clients;
+  const bool sharded = !clients.empty();
   TIRM_CHECK(!sharded || (!options.ctp_aware_coverage && !options.weight_by_ctp))
       << "sharded TIRM supports the paper-faithful unweighted path only";
 
   RrSampleStore* store = nullptr;
   std::optional<RrSampleStore> local_store;
-  std::optional<ShardedRrSampleStore> local_sharded;
-  std::vector<std::unique_ptr<LocalShardClient>> owned_clients;
-  std::vector<RrShardClient*> clients = options.shard_clients;
   ShardRunConfig run_config;
   if (sharded) {
     run_config.num_ads = h;
     run_config.kpt_ell = options.theta.ell;
     run_config.kpt_max_samples = options.kpt_max_samples;
-    if (clients.empty()) {
-      ShardedRrSampleStore* sharded_store = options.sharded_sample_store;
-      if (sharded_store == nullptr) {
-        std::uint64_t store_seed = options.sample_store_seed;
-        if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
-        local_sharded.emplace(
-            &graph,
-            RrSampleStore::Options{.seed = store_seed,
-                                   .num_threads = options.num_threads,
-                                   .sampler_kernel = options.sampler_kernel},
-            options.num_shards);
-        sharded_store = &*local_sharded;
-      } else {
-        TIRM_CHECK(sharded_store->shard(0).graph() == &graph)
-            << "shared ShardedRrSampleStore serves a different graph";
-        result.cache.shared_store = true;
-      }
-      const RrSampleStore::Options& store_options =
-          sharded_store->base_options();
-      run_config.store_seed = store_options.seed;
-      run_config.num_threads = store_options.num_threads;
-      run_config.chunk_sets = store_options.chunk_sets;
-      run_config.sampler_kernel = store_options.sampler_kernel;
-      owned_clients.reserve(
-          static_cast<std::size_t>(sharded_store->num_shards()));
-      for (int k = 0; k < sharded_store->num_shards(); ++k) {
-        owned_clients.push_back(std::make_unique<LocalShardClient>(
-            &sharded_store->shard(k), &instance));
-        clients.push_back(owned_clients.back().get());
-      }
-    } else {
-      // Injected (e.g. remote) clients: pin the store identity exactly the
-      // way the private path derives it, so a router-driven run and an
-      // in-process run at the same options agree bit for bit.
-      std::uint64_t store_seed = options.sample_store_seed;
-      if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
-      run_config.store_seed = store_seed;
-      // Resolved (never 0): remote workers build their stores from this
-      // value, and an unresolved 0 would mean "whatever hardware the
-      // worker has" — pools must be a function of the request, not the
-      // machine.
-      run_config.num_threads = ResolveThreadCount(options.num_threads);
-      run_config.chunk_sets = RrSampleStore::Options{}.chunk_sets;
-      run_config.sampler_kernel = options.sampler_kernel;
-    }
+    // Pin the store identity exactly the way the private path derives it,
+    // so a sharded run and a single-store run at the same options agree
+    // bit for bit.
+    std::uint64_t store_seed = options.sample_store_seed;
+    if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
+    run_config.store_seed = store_seed;
+    // Resolved (never 0): remote workers build their stores from this
+    // value, and an unresolved 0 would mean "whatever hardware the worker
+    // has" — pools must be a function of the request, not the machine.
+    run_config.num_threads = ResolveThreadCount(options.num_threads);
+    run_config.chunk_sets = RrSampleStore::Options{}.chunk_sets;
+    run_config.sampler_kernel = options.sampler_kernel;
     run_span.Counter("shards", static_cast<double>(clients.size()));
     for (RrShardClient* client : clients) {
       const Status begun = client->BeginRun(run_config);

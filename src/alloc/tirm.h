@@ -39,8 +39,7 @@
 
 namespace tirm {
 
-class RrShardClient;         // rrset/shard_client.h
-class ShardedRrSampleStore;  // rrset/sharded_store.h
+class RrShardClient;  // rrset/shard_client.h
 
 /// Per-ad diagnostics of a TIRM run.
 struct TirmAdStats {
@@ -124,24 +123,13 @@ struct TirmOptions {
   /// equivalent (gated), not bit-identical. Applies to the private store
   /// only; a shared `sample_store` keeps its own configured kernel.
   SamplerKernel sampler_kernel = SamplerKernel::kAuto;
-  /// Sampling/coverage shards (the GreeDIMM shape — see
-  /// rrset/sharded_store.h). 1 = the classic single-store path. K > 1
-  /// interleaves each ad's θ chunks across K shard pools and replaces the
-  /// global CELF heap with a tree-reduced top-L summary protocol; every
-  /// per-round sum is an exact integer, so selections are bit-identical
-  /// to K = 1 (golden-gated). Sharding requires the paper-faithful
-  /// unweighted path: combining it with ctp_aware_coverage or
-  /// weight_by_ctp is rejected (AllocatorConfig::Validate) / aborts here.
-  int num_shards = 1;
-  /// Shared sharded store (not owned; may be null): used when
-  /// num_shards > 1 and shard_clients is empty — the run drives one
-  /// in-process LocalShardClient per shard. Null = a private sharded
-  /// store with the run's seed (bit-identical either way).
-  ShardedRrSampleStore* sharded_sample_store = nullptr;
-  /// Externally provided shard clients (not owned) — e.g. the serving
-  /// router's RemoteShardClients. Non-empty overrides num_shards and
-  /// sharded_sample_store; each client must already target this
-  /// instance's graph.
+  /// Shard clients (not owned; each must target this instance's graph) —
+  /// the router's RemoteShardClients. Empty = the single-store path.
+  /// Non-empty interleaves each ad's θ chunks across the K shard pools and
+  /// replaces the CELF heap with a tree-reduced top-L summary protocol of
+  /// exact integer sums, so selections are bit-identical to the single
+  /// store (golden-gated). Requires the paper-faithful unweighted path
+  /// (no ctp_aware_coverage / weight_by_ctp).
   std::vector<RrShardClient*> shard_clients;
 };
 

@@ -110,7 +110,6 @@ AdAllocEngine::AdAllocEngine(AdAllocEngine&& other)
   // violation the caller must rule out (see the header).
   MutexLock lock(other.store_mutex_);
   stores_ = std::move(other.stores_);
-  sharded_stores_ = std::move(other.sharded_stores_);
   last_store_ = other.last_store_;
   other.last_store_ = nullptr;
 }
@@ -177,25 +176,8 @@ Result<EngineRun> AdAllocEngine::Run(const AllocatorConfig& config,
     }
     run_config.sample_store = store.get();
     last_store_ = store.get();
-    // Sharded plane: chunk-interleaved shard pools are keyed by K too.
-    // Externally injected shard clients (the serving router) bypass
-    // engine-owned stores entirely.
-    if (run_config.num_shards > 1 && run_config.shard_clients.empty()) {
-      std::unique_ptr<ShardedRrSampleStore>& sharded =
-          sharded_stores_[{threads, kernel, run_config.num_shards}];
-      if (sharded == nullptr) {
-        sharded = std::make_unique<ShardedRrSampleStore>(
-            &base_.graph(),
-            RrSampleStore::Options{.seed = StoreSeed(),
-                                   .num_threads = threads,
-                                   .sampler_kernel = kernel},
-            run_config.num_shards);
-      }
-      run_config.sharded_sample_store = sharded.get();
-    }
   } else {
     run_config.sample_store = nullptr;
-    run_config.sharded_sample_store = nullptr;
   }
   Result<std::unique_ptr<Allocator>> allocator =
       AllocatorRegistry::Global().Create(run_config);

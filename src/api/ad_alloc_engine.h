@@ -41,7 +41,6 @@
 
 #include <map>
 #include <memory>
-#include <tuple>
 #include <utility>
 
 #include "alloc/allocator.h"
@@ -52,7 +51,6 @@
 #include "api/allocator_registry.h"
 #include "datasets/dataset.h"
 #include "rrset/sample_store.h"
-#include "rrset/sharded_store.h"
 #include "topic/instance.h"
 
 namespace tirm {
@@ -179,13 +177,6 @@ class AdAllocEngine {
   /// practice an engine serves one combination and this holds one store.
   std::map<std::pair<int, SamplerKernel>, std::unique_ptr<RrSampleStore>>
       stores_ TIRM_GUARDED_BY(store_mutex_);
-  /// Sharded-plane twin of `stores_`, additionally keyed by shard count:
-  /// shard pools are chunk-interleaved per K, so different K values own
-  /// different stores (their unions are nevertheless the same global pool,
-  /// which is what keeps K-sweeps bit-identical).
-  std::map<std::tuple<int, SamplerKernel, int>,
-           std::unique_ptr<ShardedRrSampleStore>>
-      sharded_stores_ TIRM_GUARDED_BY(store_mutex_);
   const RrSampleStore* last_store_ TIRM_GUARDED_BY(store_mutex_) = nullptr;
 };
 

@@ -157,9 +157,12 @@ Status AllocatorConfig::Validate() const {
     return Status::InvalidArgument("num_shards must be in [1, 64], got " +
                                    std::to_string(num_shards));
   }
-  if (num_shards > 1 && (weight_by_ctp || ctp_aware_coverage)) {
+  // A one-endpoint router has num_shards == 1 but still runs the sharded
+  // plane, so the injected clients count too.
+  if ((num_shards > 1 || !shard_clients.empty()) &&
+      (weight_by_ctp || ctp_aware_coverage)) {
     return Status::InvalidArgument(
-        "num_shards > 1 requires the paper-faithful unweighted path "
+        "sharded TIRM requires the paper-faithful unweighted path "
         "(weight_by_ctp and ctp_aware_coverage must be off)");
   }
   TIRM_RETURN_NOT_OK(ParseSamplerKernel(sampler_kernel).status());
@@ -185,8 +188,6 @@ TirmOptions AllocatorConfig::MakeTirmOptions() const {
   o.sampler_kernel = sampling.ok() ? sampling.value() : SamplerKernel::kAuto;
   o.sample_store = sample_store;
   o.sample_store_seed = sample_store_seed;
-  o.num_shards = num_shards;
-  o.sharded_sample_store = sharded_sample_store;
   o.shard_clients = shard_clients;
   return o;
 }

@@ -51,10 +51,12 @@ struct AllocatorConfig {
   /// probability rows — statistically equivalent, different random stream;
   /// see rrset/sampler_kernel.h).
   std::string sampler_kernel = "auto";
-  /// Sampling/coverage shards for TIRM (`--num_shards`): 1 = single-store
-  /// path; K > 1 runs the GreeDIMM-shaped sharded plane (chunk-interleaved
-  /// shard pools + tree-reduced selection; allocations bit-identical to
-  /// K = 1). Requires the paper-faithful unweighted path — combining with
+  /// Shard count of the multi-process plane (`--num_shards`): the
+  /// router's K (set from its `--shards` list) or a shard worker's K
+  /// (`tirm_server --mode=shard_worker --num_shards=K`). It never shards
+  /// in process — a TIRM run with num_shards > 1 and no `shard_clients`
+  /// is rejected; in-process parallelism is `num_threads`. Sharded runs
+  /// require the paper-faithful unweighted path — combining them with
   /// weight_by_ctp or ctp_aware_coverage is rejected.
   int num_shards = 1;
 
@@ -77,11 +79,9 @@ struct AllocatorConfig {
   /// run rng). Setting it to the shared store's seed makes store-disabled
   /// runs bit-identical to store-enabled ones.
   std::uint64_t sample_store_seed = 0;
-  /// Shared sharded store for num_shards > 1 (not owned; may be null —
-  /// the run then creates a private one with the same discipline).
-  ShardedRrSampleStore* sharded_sample_store = nullptr;
   /// Externally driven shard clients (not owned) — the serving router's
-  /// remote workers. Non-empty overrides num_shards/sharded_sample_store.
+  /// remote workers. Non-empty runs TIRM on the sharded plane (see
+  /// TirmOptions::shard_clients).
   std::vector<RrShardClient*> shard_clients;
 
   /// Parses every field from `flags` (`--allocator=tirm --eps=0.1

@@ -146,7 +146,18 @@ AllocatorRegistry::Factory MakeFactory() {
   };
 }
 
-const AllocatorRegistrar kTirmReg("tirm", MakeFactory<TirmAllocator>());
+// Shards are worker processes behind the router, never an in-process
+// split: without injected clients, num_shards > 1 is a typed error.
+const AllocatorRegistrar kTirmReg(
+    "tirm", [](const AllocatorConfig& config)
+                -> Result<std::unique_ptr<Allocator>> {
+      if (config.num_shards > 1 && config.shard_clients.empty()) {
+        return Status::InvalidArgument(
+            "num_shards > 1 needs shard workers: use \"threads\" for "
+            "in-process parallelism, or tirm_server --mode=router");
+      }
+      return MakeFactory<TirmAllocator>()(config);
+    });
 const AllocatorRegistrar kGreedyMcReg("greedy-mc",
                                       MakeFactory<GreedyMcAllocator>());
 const AllocatorRegistrar kGreedyIrieReg("greedy-irie",

@@ -196,7 +196,8 @@ class RrSampleStore {
     /// are additionally a function of the resolved kernel — kAuto resolves
     /// to the classic golden reference.
     SamplerKernel sampler_kernel = SamplerKernel::kAuto;
-    /// Shard coordinates for distributed sampling (rrset/sharded_store.h).
+    /// Shard coordinates for distributed sampling: a shard worker's store
+    /// (serve/shard_worker.h) owns slice `shard_index` of `num_shards`.
     /// The global chunk sequence is interleaved across shards — global
     /// chunk c belongs to shard c % num_shards and keeps its single-store
     /// RNG substream — so the union of the K shard pools is bit-identical

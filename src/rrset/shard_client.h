@@ -1,7 +1,8 @@
 // RrShardClient — the coordinator's handle on one sampling/coverage shard.
 //
-// The distributed TIRM plane (GreeDIMM shape, see rrset/sharded_store.h and
-// alloc/tirm.cc) splits each ad's RR-set pool across K shards. The
+// The distributed TIRM plane (GreeDIMM shape, see alloc/tirm.cc and
+// serve/shard_worker.h) splits each ad's RR-set pool across K shards —
+// one per `tirm_server --mode=shard_worker` process behind the router. The
 // coordinator never touches shard pools directly; it drives K of these
 // clients:
 //
@@ -25,10 +26,10 @@
 // boundary, which is what lets workers serve any query from one mmap'ed
 // bundle.
 //
-// LocalShardClient adapts the interface onto an in-process RrSampleStore
-// (one shard of a ShardedRrSampleStore). RemoteShardClient
-// (serve/shard_remote.h) speaks the same ops over NDJSON to a
-// `tirm_server --mode=shard_worker` process.
+// LocalShardClient adapts the interface onto one shard-configured
+// RrSampleStore (RrSampleStore::Options::{num_shards, shard_index}); it is
+// what a shard worker's session runs. RemoteShardClient
+// (serve/shard_remote.h) speaks the same ops over NDJSON to that worker.
 //
 // Thread safety: a client instance is driven by one coordinator thread at
 // a time; the per-shard fan-out runs different CLIENTS on different

@@ -465,6 +465,30 @@ TEST(AllocationServiceTest, InBandErrorsKeepTheFutureAlive) {
   EXPECT_EQ(m.served_ok, 0u);
 }
 
+// Shards are separate worker processes behind a router; a plain service
+// has none, so a TIRM request asking for them is a typed in-band error
+// and the next request is still served.
+TEST(AllocationServiceTest, ShardCountWithoutRouterIsInBandInvalidArgument) {
+  AllocationService service(Fig1Factory(),
+                            {.num_workers = 1,
+                             .engine = TestEngineOptions()});
+  AllocationRequest request;
+  request.config.allocator = "tirm";
+  request.config.num_shards = 4;
+  Result<std::future<AllocationResponse>> refused = service.SubmitWait(request);
+  ASSERT_TRUE(refused.ok());
+  const Status status = refused->get().status;
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("threads"), std::string::npos)
+      << status.ToString();
+
+  request.config.num_shards = 1;
+  Result<std::future<AllocationResponse>> served = service.SubmitWait(request);
+  ASSERT_TRUE(served.ok());
+  const Status ok = served->get().status;
+  EXPECT_TRUE(ok.ok()) << ok.ToString();
+}
+
 TEST(AllocationServiceTest, StopWithoutStartAnswersUnavailable) {
   AllocationService service(Fig1Factory(),
                             {.num_workers = 1,

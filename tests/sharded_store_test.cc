@@ -1,11 +1,14 @@
-// ShardedRrSampleStore + the distributed TIRM plane. Covers the chunk-
-// interleave math (ShardPrefixCount / ShardLocalToGlobalSetId), bit-exact
-// pool partitioning (the union of the K shard pools IS the single-store
-// pool; K = 1 degenerates to a plain store), the tree reduction of
-// marginal-gain summaries, golden sharded-vs-single allocations for all
-// five allocators at K in {1, 2, 4}, the NDJSON shard protocol driven end
-// to end through RemoteShardClient + ShardWorkerSession over an in-process
-// transport, and a concurrent per-shard top-up test (run under TSan in CI).
+// Shard-configured RrSampleStores + the distributed TIRM plane. Covers the
+// chunk-interleave math (ShardPrefixCount / ShardLocalToGlobalSetId),
+// bit-exact pool partitioning (the union of K shard stores' pools IS the
+// single-store pool; K = 1 degenerates to a plain store), the tree
+// reduction of marginal-gain summaries, golden sharded-vs-single
+// allocations for all five allocators at K in {1, 2, 4} through injected
+// LocalShardClients (the shard worker's own setup), the in-band refusal
+// of CTP variants on a one-shard plane, the NDJSON shard protocol driven
+// end to end through RemoteShardClient + ShardWorkerSession over an
+// in-process transport, and a concurrent per-shard top-up test (run under
+// TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -22,7 +25,6 @@
 #include "graph/generators.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
-#include "rrset/sharded_store.h"
 #include "serve/shard_protocol.h"
 #include "serve/shard_remote.h"
 #include "serve/shard_worker.h"
@@ -48,6 +50,36 @@ std::vector<std::vector<NodeId>> Materialize(const RrSetPool& pool,
   }
   return sets;
 }
+
+// K shard-configured stores over one global pool identity `base` — what K
+// `tirm_server --mode=shard_worker` processes build (serve/shard_worker.h).
+std::vector<std::unique_ptr<RrSampleStore>> ShardStores(
+    const Graph* graph, RrSampleStore::Options base, int num_shards) {
+  std::vector<std::unique_ptr<RrSampleStore>> stores;
+  base.num_shards = num_shards;
+  for (int k = 0; k < num_shards; ++k) {
+    base.shard_index = k;
+    stores.push_back(std::make_unique<RrSampleStore>(graph, base));
+  }
+  return stores;
+}
+
+// The router's plane without sockets: one LocalShardClient per shard
+// store, ready to inject as TirmOptions/AllocatorConfig::shard_clients.
+struct LocalShardPlane {
+  LocalShardPlane(const ProblemInstance* instance, RrSampleStore::Options base,
+                  int num_shards)
+      : stores(ShardStores(&instance->graph(), base, num_shards)) {
+    for (const auto& store : stores) {
+      owned.push_back(std::make_unique<LocalShardClient>(store.get(), instance));
+      clients.push_back(owned.back().get());
+    }
+  }
+
+  std::vector<std::unique_ptr<RrSampleStore>> stores;
+  std::vector<std::unique_ptr<LocalShardClient>> owned;
+  std::vector<RrShardClient*> clients;
+};
 
 // ------------------------------------------------------ interleave math
 
@@ -126,12 +158,13 @@ TEST_F(ShardedStoreTest, UnionOfShardPoolsIsTheSingleStorePool) {
   const auto golden = Materialize(ref->sets(), theta);
 
   for (const int num_shards : {1, 2, 4}) {
-    ShardedRrSampleStore store(&graph_, BaseOptions(), num_shards);
+    const auto stores = ShardStores(&graph_, BaseOptions(), num_shards);
     std::vector<std::vector<NodeId>> merged(theta);
     std::uint64_t total = 0;
     for (int k = 0; k < num_shards; ++k) {
-      RrSampleStore::AdPool* pool = store.shard(k).Acquire(77, probs_);
-      store.shard(k).EnsureSets(pool, theta);
+      RrSampleStore& shard = *stores[static_cast<std::size_t>(k)];
+      RrSampleStore::AdPool* pool = shard.Acquire(77, probs_);
+      shard.EnsureSets(pool, theta);
       const std::uint64_t prefix =
           ShardPrefixCount(theta, kChunk, num_shards, k);
       ASSERT_EQ(pool->sets().NumSets(), prefix);
@@ -146,13 +179,14 @@ TEST_F(ShardedStoreTest, UnionOfShardPoolsIsTheSingleStorePool) {
   }
 }
 
-// A K=1 sharded store is a plain store: same arena bytes, same stats
-// shape, same pool.
+// A 1-shard store is a plain store: same arena bytes, same stats shape,
+// same pool.
 TEST_F(ShardedStoreTest, SingleShardDegeneratesToPlainStore) {
-  ShardedRrSampleStore store(&graph_, BaseOptions(), 1);
-  ASSERT_EQ(store.num_shards(), 1);
-  RrSampleStore::AdPool* pool = store.shard(0).Acquire(77, probs_);
-  store.shard(0).EnsureSets(pool, kChunk * 4);
+  const auto stores = ShardStores(&graph_, BaseOptions(), 1);
+  ASSERT_EQ(stores.size(), 1u);
+  RrSampleStore& store = *stores[0];
+  RrSampleStore::AdPool* pool = store.Acquire(77, probs_);
+  store.EnsureSets(pool, kChunk * 4);
 
   RrSampleStore plain(&graph_, BaseOptions());
   RrSampleStore::AdPool* ref = plain.Acquire(77, probs_);
@@ -171,17 +205,18 @@ TEST_F(ShardedStoreTest, SingleShardDegeneratesToPlainStore) {
 TEST_F(ShardedStoreTest, ConcurrentShardTopUpsStayBitExact) {
   const int num_shards = 4;
   const std::uint64_t theta = kChunk * 16;
-  ShardedRrSampleStore store(&graph_, BaseOptions(), num_shards);
+  const auto stores = ShardStores(&graph_, BaseOptions(), num_shards);
   std::vector<std::thread> threads;
   for (int k = 0; k < num_shards; ++k) {
-    threads.emplace_back([&, k] {
-      RrSampleStore::AdPool* pool = store.shard(k).Acquire(77, probs_);
-      store.shard(k).EnsureSets(pool, theta / 2);
-      store.shard(k).EnsureSets(pool, theta);
+    RrSampleStore* shard = stores[static_cast<std::size_t>(k)].get();
+    threads.emplace_back([&, shard] {
+      RrSampleStore::AdPool* pool = shard->Acquire(77, probs_);
+      shard->EnsureSets(pool, theta / 2);
+      shard->EnsureSets(pool, theta);
     });
-    threads.emplace_back([&, k] {
-      RrSampleStore::AdPool* pool = store.shard(k).Acquire(77, probs_);
-      store.shard(k).EnsureSets(pool, theta);
+    threads.emplace_back([&, shard] {
+      RrSampleStore::AdPool* pool = shard->Acquire(77, probs_);
+      shard->EnsureSets(pool, theta);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -192,7 +227,8 @@ TEST_F(ShardedStoreTest, ConcurrentShardTopUpsStayBitExact) {
   const auto golden = Materialize(ref->sets(), theta);
   std::vector<std::vector<NodeId>> merged(theta);
   for (int k = 0; k < num_shards; ++k) {
-    RrSampleStore::AdPool* pool = store.shard(k).Acquire(77, probs_);
+    RrSampleStore::AdPool* pool =
+        stores[static_cast<std::size_t>(k)]->Acquire(77, probs_);
     const std::uint64_t prefix =
         ShardPrefixCount(theta, kChunk, num_shards, k);
     ASSERT_EQ(pool->sets().NumSets(), prefix);
@@ -267,33 +303,44 @@ TEST(TreeReduceTest, ReductionIsOrderIndependent) {
 
 // ------------------------------------------- golden: sharded == single
 
-AllocatorConfig ShardConfig(const std::string& name, int num_shards) {
+AllocatorConfig ShardConfig(const std::string& name,
+                            const LocalShardPlane* plane) {
   AllocatorConfig config;
   config.allocator = name;
   config.eps = 0.25;
   config.theta_cap = 1 << 15;
   config.mc_sims = 50;
-  config.num_shards = num_shards;
+  if (plane != nullptr) {
+    config.num_shards = static_cast<int>(plane->clients.size());
+    config.shard_clients = plane->clients;
+  }
   return config;
 }
 
 // Engine-level golden gate: every registered allocator, every K in
 // {1, 2, 4}, allocations and revenue bit-identical to the unsharded
-// engine. (num_shards only changes TIRM's sampling plane; the other four
-// ride along to prove the config plumbing never perturbs them.)
+// engine. The shard side is built the way a shard worker builds it: its
+// own copy of the instance and stores seeded with the engine's store seed.
+// (Shard clients only change TIRM's sampling plane; the other four ride
+// along to prove the config plumbing never perturbs them.) The second
+// lambda reuses the shard stores' warm pools.
 TEST(ShardedGoldenTest, AllFiveAllocatorsBitIdenticalAcrossK) {
   AdAllocEngine baseline(BuildFigure1Instance(),
                          {.eval_sims = 200, .seed = kSeed});
+  const BuiltInstance worker_built = BuildFigure1Instance();
+  const ProblemInstance worker_inst = worker_built.MakeInstance(1, 0.0);
   for (const int num_shards : {1, 2, 4}) {
     AdAllocEngine sharded(BuildFigure1Instance(),
                           {.eval_sims = 200, .seed = kSeed});
+    const LocalShardPlane plane(&worker_inst, {.seed = sharded.StoreSeed()},
+                                num_shards);
     for (const char* name :
          {"tirm", "greedy-mc", "greedy-irie", "myopic", "myopic+"}) {
       for (const double lambda : {0.0, 0.5}) {
         Result<EngineRun> want =
-            baseline.Run(ShardConfig(name, 1), {.lambda = lambda});
+            baseline.Run(ShardConfig(name, nullptr), {.lambda = lambda});
         Result<EngineRun> got =
-            sharded.Run(ShardConfig(name, num_shards), {.lambda = lambda});
+            sharded.Run(ShardConfig(name, &plane), {.lambda = lambda});
         ASSERT_TRUE(want.ok()) << want.status().ToString();
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         EXPECT_EQ(got->result.allocation.seeds, want->result.allocation.seeds)
@@ -307,8 +354,8 @@ TEST(ShardedGoldenTest, AllFiveAllocatorsBitIdenticalAcrossK) {
 }
 
 // Direct RunTirm on a generated graph (bigger than fig1, kappa = 2): the
-// sharded coordinator over a private sharded store reproduces the single
-// store run bit for bit, and a second run over the same warm shared store
+// sharded coordinator over K injected shard clients reproduces the single
+// store run bit for bit, and a second run over the same warm shard stores
 // stays identical (pool reuse across runs).
 TEST(ShardedGoldenTest, TirmOnGeneratedGraphMatchesAcrossK) {
   Rng build_rng(77);
@@ -323,25 +370,49 @@ TEST(ShardedGoldenTest, TirmOnGeneratedGraphMatchesAcrossK) {
   Rng single_rng(kSeed);
   const TirmResult single = RunTirm(inst, options, single_rng);
 
-  for (const int num_shards : {2, 4}) {
-    options.num_shards = num_shards;
+  for (const int num_shards : {1, 2, 4}) {
+    const LocalShardPlane plane(&inst, {.seed = 1234}, num_shards);
+    options.shard_clients = plane.clients;
     Rng rng(kSeed);
-    const TirmResult sharded = RunTirm(inst, options, rng);
-    EXPECT_EQ(sharded.allocation.seeds, single.allocation.seeds)
+    const TirmResult cold = RunTirm(inst, options, rng);  // fills pools
+    EXPECT_EQ(cold.allocation.seeds, single.allocation.seeds)
         << "K=" << num_shards;
-
-    ShardedRrSampleStore store(&inst.graph(), {.seed = 1234}, num_shards);
-    options.sharded_sample_store = &store;
+    EXPECT_EQ(cold.estimated_revenue, single.estimated_revenue)
+        << "K=" << num_shards;
     Rng warm_rng(kSeed);
-    const TirmResult prime = RunTirm(inst, options, warm_rng);  // fills pools
-    EXPECT_EQ(prime.allocation.seeds, single.allocation.seeds);
-    EXPECT_TRUE(prime.cache.shared_store);
-    Rng warm_rng2(kSeed);
-    const TirmResult warm = RunTirm(inst, options, warm_rng2);
-    EXPECT_EQ(warm.allocation.seeds, single.allocation.seeds);
-    EXPECT_GT(warm.cache.reused_sets, 0u);
-    options.sharded_sample_store = nullptr;
+    const TirmResult warm = RunTirm(inst, options, warm_rng);
+    EXPECT_EQ(warm.allocation.seeds, single.allocation.seeds)
+        << "K=" << num_shards;
+    EXPECT_GT(warm.cache.reused_sets, 0u) << "K=" << num_shards;
+    EXPECT_EQ(warm.cache.sampled_sets, 0u) << "K=" << num_shards;
   }
+}
+
+// ------------------------------------------ sharded plane: typed errors
+
+// A one-endpoint router runs the sharded plane at num_shards == 1. The
+// CTP variants are not implemented there: they must be refused in band,
+// and the engine must go on answering plain requests.
+TEST(ShardedConfigTest, OneShardPlaneRejectsCtpVariantsInBand) {
+  AdAllocEngine engine(BuildFigure1Instance(),
+                       {.eval_sims = 200, .seed = kSeed});
+  const BuiltInstance worker_built = BuildFigure1Instance();
+  const ProblemInstance worker_inst = worker_built.MakeInstance(1, 0.0);
+  const LocalShardPlane plane(&worker_inst, {.seed = engine.StoreSeed()},
+                              /*num_shards=*/1);
+
+  for (const bool weighted : {false, true}) {
+    AllocatorConfig ctp = ShardConfig("tirm", &plane);
+    ASSERT_EQ(ctp.num_shards, 1);
+    ctp.ctp_aware_coverage = !weighted;
+    ctp.weight_by_ctp = weighted;
+    Result<EngineRun> refused = engine.Run(ctp, {});
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
+  Result<EngineRun> plain = engine.Run(ShardConfig("tirm", &plane), {});
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_GT(plain->result.allocation.TotalSeeds(), 0u);
 }
 
 // --------------------------------------- remote protocol, in process
